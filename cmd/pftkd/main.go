@@ -8,7 +8,7 @@
 //
 //	pftkd -addr 127.0.0.1:8080
 //	pftkd -addr 127.0.0.1:0 -addrfile /tmp/pftkd.addr -workers 8
-//	pftkd -addr 127.0.0.1:8080 -listeners 4 -batchwait 200us
+//	pftkd -addr 127.0.0.1:8080 -cache 65536 -accesslog -
 //	curl -d '{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12}' http://127.0.0.1:8080/v1/predict
 package main
 
@@ -52,9 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 256, "job queue depth; a full queue sheds load with 429")
 		cache     = fs.Int("cache", 4096, "result cache entries")
-		maxBatch  = fs.Int("maxbatch", 1024, "maximum points per predict batch (and per micro-batched pool job)")
-		batchWait = fs.Duration("batchwait", 0, "micro-batching latency budget for single-point predicts (0 = dispatch immediately)")
-		listeners = fs.Int("listeners", 1, "accept paths on -addr (SO_REUSEPORT where available, else a shard-by-hash accept loop)")
+		maxBatch  = fs.Int("maxbatch", 1024, "maximum points per predict batch")
 		debug     = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. :0)")
 		trace     = fs.Bool("trace", true, "record request spans and serve /debug/tracez")
 		tracecap  = fs.Int("tracecap", 4096, "spans retained across the trace ring")
@@ -81,13 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *maxBatch < 1 {
 		return fmt.Errorf("-maxbatch must be positive, got %d", *maxBatch)
 	}
-	if *batchWait < 0 {
-		return fmt.Errorf("-batchwait must be non-negative, got %v", *batchWait)
-	}
-	if *listeners < 1 {
-		return fmt.Errorf("-listeners must be positive, got %d", *listeners)
-	}
-
 	if *tracecap < 1 {
 		return fmt.Errorf("-tracecap must be positive, got %d", *tracecap)
 	}
@@ -123,41 +114,39 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		_, _ = fmt.Fprintf(stderr, "debug server on http://%s/debug/\n", dbgAddr)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	bound := ln.Addr().String()
+	if *addrfile != "" {
+		if err := os.WriteFile(*addrfile, []byte(bound), 0o644); err != nil {
+			_ = ln.Close()
+			return err
+		}
+	}
+	w.Printf("pftkd %s listening on http://%s\n", obs.BuildVersion(), bound)
+	if err := w.Err(); err != nil {
+		_ = ln.Close()
+		return err
+	}
+
+	// The server starts its worker pool, so it is built only once the
+	// listener is bound. The deferred Close covers the error returns;
+	// the drain below closes it first on a clean shutdown.
 	srv := serve.New(serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cache,
 		MaxBatch:     *maxBatch,
-		BatchWait:    *batchWait,
 		Registry:     reg,
 		Tracer:       tracer,
 		AccessLog:    logw,
 	})
-	lns, lmode, err := listenAll(*addr, *listeners)
-	if err != nil {
-		return err
-	}
-	bound := lns[0].Addr().String()
-	if *addrfile != "" {
-		if err := os.WriteFile(*addrfile, []byte(bound), 0o644); err != nil {
-			closeAll(lns)
-			return err
-		}
-	}
-	w.Printf("pftkd %s listening on http://%s\n", obs.BuildVersion(), bound)
-	if len(lns) > 1 {
-		w.Printf("  %d listeners (%s)\n", len(lns), lmode)
-	}
-	if err := w.Err(); err != nil {
-		closeAll(lns)
-		return err
-	}
-
+	defer srv.Close()
 	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	errc := make(chan error, len(lns))
-	for _, ln := range lns {
-		go func(l net.Listener) { errc <- hs.Serve(l) }(ln)
-	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:
@@ -170,10 +159,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	for range lns {
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
 	// With the listener closed and handlers done, drain the job queue so
 	// every accepted simulation reaches a terminal state.

@@ -108,7 +108,7 @@ func TestRunSingleDirAndList(t *testing.T) {
 		t.Fatalf("-list: code=%d err=%v", code, err)
 	}
 	for _, name := range []string{
-		"floatcmp", "errdrop", "panicstyle", "mutexcopy", "ctorparams",
+		"floatcmp", "errdrop", "panicstyle", "ctorparams",
 		"hotalloc", "determinism", "guardedby", "directive", "jsontag", "ignoreaudit",
 	} {
 		if !strings.Contains(out.String(), name) {

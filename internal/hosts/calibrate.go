@@ -101,7 +101,7 @@ func (p Pair) Calibrate(o CalibrateOptions) Pair {
 
 // calEntry is one memoized calibration. Entries are stored in the cache
 // by pointer — a calEntry contains a sync.Once and must never be copied
-// (the mutexcopy analyzer enforces this repo-wide).
+// (go vet's copylocks check enforces this repo-wide).
 type calEntry struct {
 	once sync.Once
 	pair Pair

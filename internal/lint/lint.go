@@ -11,7 +11,6 @@
 //     against constants and are therefore allowed).
 //   - errdrop: discarded error results in non-test code.
 //   - panicstyle: panic messages must carry the "<pkg>: " prefix.
-//   - mutexcopy: sync.Mutex-bearing values passed or copied by value.
 //   - ctorparams: exported New* constructors taking more than 5
 //     positional parameters (use a config struct or functional options).
 //   - hotalloc: capturing closures and append calls inside functions
@@ -70,7 +69,6 @@ var Analyzers = []*Analyzer{
 	FloatCmpAnalyzer,
 	ErrDropAnalyzer,
 	PanicStyleAnalyzer,
-	MutexCopyAnalyzer,
 	CtorParamsAnalyzer,
 	HotAllocAnalyzer,
 	DeterminismAnalyzer,

@@ -38,12 +38,14 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 }
 
-// jobStore tracks jobs by ID. Finished jobs are retained up to a cap and
-// then evicted oldest-first, so an arbitrarily long-lived daemon holds a
-// bounded job table; queued and running jobs are never evicted.
+// maxJobs bounds the retained finished simulation jobs.
+const maxJobs = 4096
+
+// jobStore tracks jobs by ID. Finished jobs are retained up to maxJobs
+// and then evicted oldest-first, so an arbitrarily long-lived daemon
+// holds a bounded job table; queued and running jobs are never evicted.
 type jobStore struct {
-	mu  sync.Mutex
-	max int // immutable after construction
+	mu sync.Mutex
 	//pftk:guardedby mu
 	seq uint64
 	//pftk:guardedby mu
@@ -52,13 +54,8 @@ type jobStore struct {
 	finished []string // eviction order, oldest first
 }
 
-// newJobStore returns a store retaining up to max finished jobs (floored
-// at 1).
-func newJobStore(max int) *jobStore {
-	if max < 1 {
-		max = 1
-	}
-	return &jobStore{max: max, jobs: make(map[string]*Job)}
+func newJobStore() *jobStore {
+	return &jobStore{jobs: make(map[string]*Job)}
 }
 
 // create registers a new queued job for req, tagged with the
@@ -126,7 +123,7 @@ func (s *jobStore) fail(id string, msg string) {
 //pftk:locked(mu)
 func (s *jobStore) noteFinishedLocked(id string) {
 	s.finished = append(s.finished, id)
-	for len(s.finished) > s.max {
+	for len(s.finished) > maxJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

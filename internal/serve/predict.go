@@ -49,7 +49,9 @@ func (r PredictRequest) normalize() PredictRequest {
 	if r.B == 0 {
 		r.B = core.DefaultB
 	}
-	if r.Wm < 0 {
+	// Any wm <= 0 means unlimited. Writing +0 also folds -0, which JSON
+	// echoes as an omitted field but the key would otherwise keep apart.
+	if r.Wm <= 0 {
 		r.Wm = 0
 	}
 	if len(r.Models) == 0 {
@@ -114,7 +116,7 @@ type PredictResponse struct {
 }
 
 // predict evaluates every requested model for an already-normalized,
-// already-validated request.
+// already-validated request. A rate that is not finite is an error.
 func predict(r PredictRequest) (PredictResponse, error) {
 	pr := r.params()
 	rates := make(map[string]float64, len(r.Models))
@@ -134,6 +136,11 @@ func predict(r PredictRequest) (PredictResponse, error) {
 				return PredictResponse{}, fmt.Errorf("markov: %w", err)
 			}
 			rates[m] = rate
+		}
+		// JSON has no infinity: a loss-free point with no window limit
+		// (p = 0, and TD-only at p = 0 whatever wm) has no finite rate.
+		if v := rates[m]; math.IsInf(v, 0) || math.IsNaN(v) {
+			return PredictResponse{}, fmt.Errorf("model %q has no finite rate at p = %v, wm = %v", m, r.P, r.Wm)
 		}
 	}
 	return PredictResponse{Request: r, Rates: rates}, nil

@@ -19,12 +19,10 @@
 // simulations are seeded and deterministic, so a cache hit is exact and a
 // resubmitted simulation returns the identical result without re-running.
 //
-// The hot path is built for core-count scaling: the result caches are
-// sharded (per-shard mutexes, typed entries), identical in-flight
-// requests are coalesced onto one evaluation (singleflight — N concurrent
-// askers cost one predict() or one simulation), and single-point predict
-// evaluations from different connections are micro-batched into shared
-// worker-pool jobs under a configurable latency budget (Config.BatchWait).
+// A predict request that misses the cache costs exactly one worker-pool
+// job, which evaluates all of that request's missed points and fills the
+// cache with their pre-encoded bodies. Identical in-flight simulations,
+// which cost seconds, are coalesced onto one run; predicts are not.
 package serve
 
 import (
@@ -54,22 +52,13 @@ type Config struct {
 	// CacheEntries bounds each result LRU (predictions and simulations
 	// are cached separately); default 4096.
 	CacheEntries int
-	// CacheShards is the shard count of each result LRU, rounded up to a
-	// power of two; default a few shards per core.
-	CacheShards int
-	// MaxBatch bounds the number of points in one predict batch, and the
-	// number of queued single-point evaluations micro-batched into one
-	// worker-pool job; default 1024.
+	// MaxBatch bounds the number of points in one predict batch;
+	// default 1024.
 	MaxBatch int
-	// BatchWait is the micro-batching latency budget: how long a queued
-	// single-point predict evaluation may wait for company before its
-	// batch is dispatched. 0 (the default) dispatches immediately —
-	// batching then only aggregates what is already queued.
+	// Deprecated: BatchWait has no effect. Each predict request's
+	// misses are dispatched as one worker-pool job with no batching
+	// delay.
 	BatchWait time.Duration
-	// MaxJobs bounds retained finished jobs; default 4096.
-	MaxJobs int
-	// RetryAfter is the hint returned with 429 responses; default 1 s.
-	RetryAfter time.Duration
 	// Registry receives service metrics; nil disables them at zero
 	// cost (the obs nil-handle convention).
 	Registry *obs.Registry
@@ -80,14 +69,13 @@ type Config struct {
 	// spans.
 	Tracer *tracez.Tracer
 	// AccessLog receives one structured line per request; nil disables
-	// access logging. Writes are serialized by the server.
+	// access logging. Writes are serialized by the server. A panicked
+	// simulation's flight-recorder dump is written here too.
 	AccessLog io.Writer
-	// FlightEvents sizes the per-simulation flight recorder ring (0
-	// selects the default capacity, negative disables recording). On a
-	// simulation panic the recorder dump is written to AccessLog and
-	// the job fails instead of crashing a worker.
-	FlightEvents int
 }
+
+// retryAfterSeconds is the Retry-After hint sent with 429 responses.
+const retryAfterSeconds = "1"
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -99,31 +87,19 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 4096
 	}
-	if c.CacheShards < 1 {
-		c.CacheShards = defaultCacheShards()
-	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 1024
-	}
-	if c.MaxJobs < 1 {
-		c.MaxJobs = 4096
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
 
-// latencyBuckets spans 100 µs to 10 s, the range from an in-memory
-// prediction to a long queued simulation.
+// latencyBuckets spans 1 µs to 10 s in 1–2.5–5 steps, the range from a
+// cache-hit prediction (tens of µs) to a long queued simulation.
 var latencyBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// errOverloaded marks a flight that was shed instead of evaluated; the
-// waiting handlers translate it into 429 + Retry-After.
-var errOverloaded = errors.New("job queue full")
 
 // cachedPredict pairs a finished prediction with its encoded single-point
 // response body (JSON plus trailing newline, byte-identical to what
@@ -141,9 +117,7 @@ type Server struct {
 	pool      *workpool.Pool
 	predCache *shardedLRU[cachedPredict]
 	simCache  *shardedLRU[SimulateResult]
-	flights   *flightGroup[predictOutcome]
 	simflight *simFlights
-	batch     *batcher
 	jobs      *jobStore
 	mux       *http.ServeMux
 	log       *logSink
@@ -163,8 +137,7 @@ type Server struct {
 	mCacheMisses   *obs.Counter
 	mPredictPts    *obs.Counter
 	mEvals         *obs.Counter
-	mCoalesced     *obs.Counter
-	mBatchJobs     *obs.Counter
+	mPredictJobs   *obs.Counter
 	mJobsSub       *obs.Counter
 	mJobsDone      *obs.Counter
 	mJobsFailed    *obs.Counter
@@ -179,11 +152,10 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		pool:      workpool.New(cfg.Workers, cfg.QueueDepth),
-		predCache: newShardedLRU[cachedPredict](cfg.CacheEntries, cfg.CacheShards),
-		simCache:  newShardedLRU[SimulateResult](cfg.CacheEntries, cfg.CacheShards),
-		flights:   newFlightGroup[predictOutcome](),
+		predCache: newShardedLRU[cachedPredict](cfg.CacheEntries, defaultCacheShards()),
+		simCache:  newShardedLRU[SimulateResult](cfg.CacheEntries, defaultCacheShards()),
 		simflight: newSimFlights(),
-		jobs:      newJobStore(cfg.MaxJobs),
+		jobs:      newJobStore(),
 		mux:       http.NewServeMux(),
 		log:       newLogSink(cfg.AccessLog),
 
@@ -198,14 +170,12 @@ func New(cfg Config) *Server {
 		mCacheMisses:   reg.Counter("serve.cache.misses"),
 		mPredictPts:    reg.Counter("serve.predict.points"),
 		mEvals:         reg.Counter("serve.predict.evals"),
-		mCoalesced:     reg.Counter("serve.predict.coalesced"),
-		mBatchJobs:     reg.Counter("serve.batch.jobs"),
+		mPredictJobs:   reg.Counter("serve.batch.jobs"), // name kept for dashboards and pftkbench
 		mJobsSub:       reg.Counter("serve.jobs.submitted"),
 		mJobsDone:      reg.Counter("serve.jobs.completed"),
 		mJobsFailed:    reg.Counter("serve.jobs.failed"),
 		mJobsCoalesced: reg.Counter("serve.jobs.coalesced"),
 	}
-	s.batch = newBatcher(cfg.MaxBatch, cfg.BatchWait, cfg.QueueDepth, s.runBatch)
 	s.pool.SetTracer(cfg.Tracer)
 	if cfg.Tracer != nil {
 		// The span view rides on the service address, so one port serves
@@ -221,12 +191,10 @@ func New(cfg Config) *Server {
 }
 
 // Close stops admitting work and blocks until every accepted job has
-// finished — the drain half of graceful shutdown. The batcher closes
-// before the pool so its final batches can still submit; the HTTP
-// listener (if any) is the caller's to stop first.
+// finished — the drain half of graceful shutdown. The HTTP listener (if
+// any) is the caller's to stop first.
 func (s *Server) Close() {
 	s.closed.Store(true)
-	s.batch.close()
 	s.pool.Close()
 }
 
@@ -352,7 +320,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // rejectOverload sends the 429 + Retry-After admission-control response.
 func (s *Server) rejectOverload(w http.ResponseWriter) {
 	s.mRejected.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 	writeError(w, http.StatusTooManyRequests, "job queue full, retry later")
 }
 
@@ -409,19 +377,35 @@ type BatchResponse struct {
 	Results []PredictResponse `json:"results"`
 }
 
-// pendingFlight is one miss the handler is waiting on: the point's index
-// in its request plus the (possibly shared) flight computing it.
-type pendingFlight struct {
-	i  int
-	fl *inflight[predictOutcome]
+// predictJob is the one worker-pool job a predict request with cache
+// misses submits. The handler fills the inputs before submitting; the
+// job writes the outputs and then closes done, so the handler reads
+// them only after done is closed — the close is the publication
+// barrier. If the client hangs up first, the job still completes into
+// the cache and its outputs go unread.
+type predictJob struct {
+	reqs    []PredictRequest
+	keys    []cacheKey
+	misses  []int             // indexes into reqs of the points to evaluate
+	results []PredictResponse // the job writes only the misses' slots
+
+	submitted      time.Time
+	submittedTrace float64
+	trace          tracez.Span // copy of the submitting request's root span
+
+	done      chan struct{}
+	body      []byte // encoded body of the last evaluated point
+	errAt     int    // index of the point that failed, when err != nil
+	err       error
+	queueWait time.Duration
+	service   time.Duration
 }
 
 // handlePredict evaluates the model family at one point or a batch of
-// points. The handler goroutine only parses, consults the cache, and
-// waits: misses are coalesced onto singleflight evaluations and
-// dispatched through the micro-batcher onto the worker pool, so duplicate
-// in-flight points cost one evaluation process-wide and prediction load
-// is subject to the same admission control as simulations.
+// points. The handler goroutine parses, normalizes, consults the cache
+// and encodes; a request with at least one miss submits one worker-pool
+// job that evaluates all of its missed points, so prediction load is
+// subject to the same admission control as simulations.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	root := tracez.FromContext(r.Context())
 	var payload predictPayload
@@ -460,13 +444,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		keys[i] = predictKey(reqs[i])
 	}
 
-	// Serve what the cache already knows; join or lead a flight for each
-	// miss. Duplicate keys — within this batch or across concurrent
-	// requests — share one flight and therefore one evaluation.
+	// Serve what the cache already knows and collect the misses.
 	results := make([]PredictResponse, len(reqs))
 	var singleBody []byte
-	var waits []pendingFlight
-	var leaders []*evalItem
+	var misses []int
 	cacheSp := root.StartChild("cache")
 	for i := range reqs {
 		if v, ok := s.predCache.get(keys[i]); ok {
@@ -476,72 +457,47 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		s.mCacheMisses.Inc()
-		fl, leader := s.flights.join(keys[i])
-		if leader {
-			leaders = append(leaders, &evalItem{req: reqs[i], key: keys[i], fl: fl})
-		} else {
-			s.mCoalesced.Inc()
-		}
-		waits = append(waits, pendingFlight{i: i, fl: fl})
+		misses = append(misses, i)
 	}
-	cacheSp.SetAttr("hits", strconv.Itoa(len(reqs)-len(waits)))
-	cacheSp.SetAttr("misses", strconv.Itoa(len(waits)))
+	cacheSp.SetAttr("hits", strconv.Itoa(len(reqs)-len(misses)))
+	cacheSp.SetAttr("misses", strconv.Itoa(len(misses)))
 	cacheSp.End()
 
 	// The queue-wait/service split is measured on the wall clock and
 	// echoed in response headers, so load generators can separate time
 	// in the admission queue from model evaluation without a tracer.
 	var queueWait, service time.Duration
-	if len(waits) > 0 {
-		submitted := time.Now()
-		submittedTrace := s.cfg.Tracer.NowSeconds()
-		// Flights may outlive this handler (the client can hang up while
-		// waiters remain); the span copy keeps the trace ID valid for the
-		// async child spans, as with simulation jobs.
-		traceRef := *root
-		adm := root.StartChild("admission")
-		shed := false
-		for _, it := range leaders {
-			it.submitted = submitted
-			it.submittedTrace = submittedTrace
-			it.trace = traceRef
-			if !s.batch.enqueue(it) {
-				s.flights.complete(it.key, it.fl, predictOutcome{}, errOverloaded)
-				shed = true
-			}
+	if len(misses) > 0 {
+		// The job may outlive this handler (the client can hang up while
+		// it is queued); the span copy keeps the trace ID valid for its
+		// child spans, as with simulation jobs.
+		job := &predictJob{
+			reqs: reqs, keys: keys, misses: misses, results: results,
+			submitted: time.Now(), submittedTrace: s.cfg.Tracer.NowSeconds(),
+			trace: *root, done: make(chan struct{}),
 		}
-		if shed {
+		adm := root.StartChild("admission")
+		if !s.pool.TrySubmit(func() { s.runPredictJob(job) }) {
 			adm.SetError("queue full")
+			adm.End()
+			s.rejectOverload(w)
+			return
 		}
 		adm.End()
-
-		for _, p := range waits {
-			select {
-			case <-p.fl.done:
-			case <-r.Context().Done():
-				// The client is gone. The flight still completes into the
-				// cache for whoever asks next; there is just no one left
-				// to answer here.
-				return
-			}
-			if err := p.fl.err; err != nil {
-				if errors.Is(err, errOverloaded) {
-					s.rejectOverload(w)
-					return
-				}
-				writeError(w, http.StatusBadRequest, "request %d: %v", p.i, err)
-				return
-			}
-			out := p.fl.val
-			results[p.i] = out.resp
-			singleBody = out.body
-			if out.queueWait > queueWait {
-				queueWait = out.queueWait
-			}
-			if out.service > service {
-				service = out.service
-			}
+		s.mPredictJobs.Inc()
+		select {
+		case <-job.done:
+		case <-r.Context().Done():
+			// The client is gone. The job still completes into the cache
+			// for whoever asks next; there is just no one left to answer.
+			return
 		}
+		if job.err != nil {
+			writeError(w, http.StatusBadRequest, "request %d: %v", job.errAt, job.err)
+			return
+		}
+		singleBody = job.body
+		queueWait, service = job.queueWait, job.service
 	}
 	setSecondsHeader(w, "X-Queue-Seconds", queueWait)
 	setSecondsHeader(w, "X-Service-Seconds", service)
@@ -556,56 +512,37 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSONBytes(w, http.StatusOK, singleBody)
 }
 
-// runBatch dispatches one drained micro-batch as a single worker-pool
-// job. A full pool sheds the whole batch: every flight completes as
-// overloaded and the waiting handlers answer 429.
-func (s *Server) runBatch(items []*evalItem) {
-	s.mBatchJobs.Inc()
-	accepted := s.pool.TrySubmit(func() {
-		picked := time.Now()
-		for _, it := range items {
-			s.evalOne(it, picked)
-		}
-	})
-	if !accepted {
-		for _, it := range items {
-			s.flights.complete(it.key, it.fl, predictOutcome{}, errOverloaded)
-		}
-	}
-}
-
-// evalOne evaluates one coalesced point and completes its flight. The
-// cache is re-checked first: between this item's miss and its dispatch, a
-// completed racer may have published the result (flights clear only
-// after the cache put), and recomputing would waste the win.
-func (s *Server) evalOne(it *evalItem, picked time.Time) {
-	queueWait := picked.Sub(it.submitted)
-	qsp := it.trace.StartChildAt("queue-wait", it.submittedTrace)
+// runPredictJob evaluates every missed point of one predict request on
+// a pool worker, caching each result with its encoded single-point body
+// (JSON plus trailing newline, exactly what json.Encoder produces). The
+// first failing point stops the job; nothing failed is cached.
+func (s *Server) runPredictJob(j *predictJob) {
+	defer close(j.done)
+	picked := time.Now()
+	j.queueWait = picked.Sub(j.submitted)
+	qsp := j.trace.StartChildAt("queue-wait", j.submittedTrace)
 	qsp.End()
-	if v, ok := s.predCache.get(it.key); ok {
-		s.flights.complete(it.key, it.fl, predictOutcome{resp: v.resp, body: v.body, queueWait: queueWait}, nil)
-		return
+	esp := j.trace.StartChild("eval")
+	defer esp.End()
+	for _, i := range j.misses {
+		resp, err := predict(j.reqs[i])
+		s.mEvals.Inc()
+		if err != nil {
+			esp.SetError(err.Error())
+			j.errAt, j.err = i, err
+			break
+		}
+		data, merr := json.Marshal(resp)
+		if merr != nil {
+			// Responses are plain structs of numbers and strings; an
+			// encoding failure is a programming error, not an input error.
+			panic(fmt.Sprintf("serve: encode predict response: %v", merr))
+		}
+		j.body = append(data, '\n')
+		j.results[i] = resp
+		s.predCache.put(j.keys[i], cachedPredict{resp: resp, body: j.body})
 	}
-	esp := it.trace.StartChild("eval")
-	t := time.Now()
-	resp, err := predict(it.req)
-	s.mEvals.Inc()
-	if err != nil {
-		esp.SetError(err.Error())
-		esp.End()
-		s.flights.complete(it.key, it.fl, predictOutcome{queueWait: queueWait, service: time.Since(t)}, err)
-		return
-	}
-	esp.End()
-	data, merr := json.Marshal(resp)
-	if merr != nil {
-		// Responses are plain structs of numbers and strings; an encoding
-		// failure is a programming error, not an input error.
-		panic(fmt.Sprintf("serve: encode predict response: %v", merr))
-	}
-	body := append(data, '\n')
-	s.predCache.put(it.key, cachedPredict{resp: resp, body: body})
-	s.flights.complete(it.key, it.fl, predictOutcome{resp: resp, body: body, queueWait: queueWait, service: time.Since(t)}, nil)
+	j.service = time.Since(picked)
 }
 
 // handleSimulate admits one simulation job. Cache hits complete
@@ -628,11 +565,24 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	key := canonicalKey("simulate", req)
 	cacheSp := root.StartChild("cache")
-	if v, ok := s.simCache.get(key); ok {
+	job := s.jobs.create(req, reqID)
+	v, hit := s.simCache.get(key)
+	leader := false
+	if !hit {
+		leader = s.simflight.join(key, job.ID)
+		// A run caches its result before it clears its flight, so an
+		// identical run that finished between the lookup and join left
+		// its result behind: look again before taking a worker.
+		if leader {
+			if v, hit = s.simCache.get(key); hit {
+				s.finishWaiters(key, v)
+			}
+		}
+	}
+	if hit {
 		s.mCacheHits.Inc()
 		cacheSp.SetAttr("hit", "true")
 		cacheSp.End()
-		job := s.jobs.create(req, reqID)
 		s.jobs.finish(job.ID, v, true)
 		job, _ = s.jobs.get(job.ID)
 		writeJSON(w, http.StatusOK, job)
@@ -641,8 +591,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.mCacheMisses.Inc()
 	cacheSp.SetAttr("hit", "false")
 	cacheSp.End()
-	job := s.jobs.create(req, reqID)
-	if !s.simflight.join(key, job.ID) {
+	if !leader {
 		// An identical simulation is already running; this job completes
 		// from the leader's result without occupying a worker.
 		s.mJobsCoalesced.Inc()
@@ -664,20 +613,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.jobs.setRunning(job.ID)
 		qsp := traceRef.StartChildAt("queue-wait", submittedTrace)
 		qsp.End()
-		// A fresh leader can race an identical just-finished run (the
-		// flight clears after the cache put); re-checking here turns that
-		// into a free completion instead of a duplicate simulation.
-		if v, ok := s.simCache.get(key); ok {
-			s.jobs.finish(job.ID, v, true)
-			s.mJobsDone.Inc()
-			for _, id := range s.simflight.take(key) {
-				s.jobs.finish(id, v, true)
-				s.mJobsDone.Inc()
-			}
-			return
-		}
 		esp := traceRef.StartChild("eval")
-		res, dump, err := runSimulationGuarded(req, s.cfg.FlightEvents)
+		res, dump, err := runSimulationGuarded(req)
 		if err != nil {
 			esp.SetError(err.Error())
 			esp.End()
@@ -694,10 +631,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.simCache.put(key, res)
 		s.jobs.finish(job.ID, res, false)
 		s.mJobsDone.Inc()
-		for _, id := range s.simflight.take(key) {
-			s.jobs.finish(id, res, true)
-			s.mJobsDone.Inc()
-		}
+		s.finishWaiters(key, res)
 	})
 	if !accepted {
 		adm.SetError("queue full")
@@ -714,6 +648,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	adm.End()
 	s.mJobsSub.Inc()
 	writeJSON(w, http.StatusAccepted, job)
+}
+
+// finishWaiters clears key's simulation flight and completes every job
+// coalesced onto it with res. A successful result must already be in
+// the cache, so a request arriving after the flight clears hits it.
+func (s *Server) finishWaiters(key cacheKey, res SimulateResult) {
+	for _, id := range s.simflight.take(key) {
+		s.jobs.finish(id, res, true)
+		s.mJobsDone.Inc()
+	}
 }
 
 // logSimFailure records a failed (typically panicked) simulation with

@@ -166,33 +166,27 @@ func Run(r SimulateRequest) (SimulateResult, error) {
 	if err := r.validate(); err != nil {
 		return SimulateResult{}, err
 	}
-	res, dump, err := runSimulationGuarded(r, 0)
+	res, dump, err := runSimulationGuarded(r)
 	if err != nil {
 		return SimulateResult{}, fmt.Errorf("%w\n%s", err, dump)
 	}
 	return res, nil
 }
 
-// runSimulationGuarded runs one simulation with a flight recorder
-// attached (flightEvents sizes its ring; 0 selects the default,
-// negative disables recording) and converts a panic — a scenario fault
-// or an engine invariant failure — into an error plus the recorder's
-// dump, so one poisoned request fails its job instead of killing a
-// worker goroutine.
-func runSimulationGuarded(r SimulateRequest, flightEvents int) (res SimulateResult, dump string, err error) {
-	var flight *pftk.FlightRecorder
-	var opts []pftk.SimOption
-	if flightEvents >= 0 {
-		flight = pftk.NewFlightRecorder(flightEvents)
-		opts = append(opts, pftk.WithFlightRecorder(flight))
-	}
+// runSimulationGuarded runs one simulation with a default-sized flight
+// recorder attached and converts a panic — a scenario fault or an
+// engine invariant failure — into an error plus the recorder's dump, so
+// one poisoned request fails its job instead of killing a worker
+// goroutine.
+func runSimulationGuarded(r SimulateRequest) (res SimulateResult, dump string, err error) {
+	flight := pftk.NewFlightRecorder(0)
 	defer func() {
 		if p := recover(); p != nil {
 			dump = flight.String()
 			err = fmt.Errorf("simulation panicked: %v", p)
 		}
 	}()
-	res = runSimulation(r, opts...)
+	res = runSimulation(r, pftk.WithFlightRecorder(flight))
 	return res, "", nil
 }
 

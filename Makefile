@@ -64,22 +64,25 @@ fuzz:
 	$(GO) test ./internal/analysis -fuzz FuzzInferLossEvents -fuzztime 30s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 30s
 	$(GO) test ./internal/serve -fuzz FuzzPredictCacheKey -fuzztime 30s
+	$(GO) test ./internal/serve -fuzz FuzzSimulateCacheKey -fuzztime 30s
 
 # Abbreviated fuzzing pass for CI: parsers fed attacker-controlled bytes
 # (the trace decoders and the scenario JSON parser, which rides inside
-# service requests) and the /v1/predict cache-key invariant get 10
-# seconds each on every push.
+# service requests) and the /v1/predict and /v1/simulate cache-key
+# invariants get 10 seconds each on every push.
 fuzz-ci:
 	$(GO) test ./internal/trace -fuzz FuzzDecode$$ -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeTcpdump -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeJSONL -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzPredictCacheKey -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzSimulateCacheKey -fuzztime 10s
 
 # Regenerate every table and figure at the paper's campaign scale.
 experiments:
 	$(GO) run ./cmd/experiments -run all -out results/
 
+# Run every example end to end (go build only compiles them).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/tcpfriendly
@@ -290,7 +293,7 @@ scenario-golden:
 	rm -f /tmp/outage-golden.pftk
 
 # Umbrella gate: everything CI runs.
-check: build vet fmtcheck lint test race invariants obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-serve-json-smoke
+check: build vet fmtcheck lint test race invariants examples obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-serve-json-smoke
 
 clean:
 	rm -rf results obs-smoke-out serve-smoke-out serve-scale-out trace-smoke-out bench-serve-out chaos-smoke-out

@@ -198,7 +198,7 @@ func BenchmarkCorrelationStudy(b *testing.B) {
 func BenchmarkAblationTimeoutTerm(b *testing.B) {
 	var errFull, errNoTO float64
 	for i := 0; i < b.N; i++ {
-		res := Simulate(SimConfig{RTT: 0.2, LossRate: 0.05, BurstDur: 0.25, Wm: 12, MinRTO: 1, Duration: 1500, Seed: 3})
+		res := Sim(WithPath(0.2), WithBurstLoss(0.05, 0.25), WithWindow(12), WithMinRTO(1), WithDuration(1500), WithSeed(3))
 		events := analysis.InferLossEvents(res.Trace, 3)
 		sum := analysis.Summarize(res.Trace, events)
 		ivs := analysis.Intervals(res.Trace, events, 100)
@@ -230,7 +230,7 @@ func BenchmarkAblationQHatForm(b *testing.B) {
 // 2^5 cap under heavy loss (effect on send rate).
 func BenchmarkAblationBackoffCap(b *testing.B) {
 	run := func(variant string) float64 {
-		res := Simulate(SimConfig{RTT: 0.2, LossRate: 0.15, Wm: 8, MinRTO: 1, Duration: 1000, Seed: 9, Variant: variant})
+		res := Sim(WithPath(0.2), WithLoss(0.15), WithWindow(8), WithMinRTO(1), WithDuration(1000), WithSeed(9), WithOS(variant))
 		return res.SendRate()
 	}
 	var reno64, irix32 float64
@@ -247,10 +247,7 @@ func BenchmarkAblationBackoffCap(b *testing.B) {
 // recovery under RTT-scale loss outages.
 func BenchmarkAblationFastRecovery(b *testing.B) {
 	run := func(variant string) float64 {
-		return Simulate(SimConfig{
-			RTT: 0.1, LossRate: 0.004, BurstDur: 0.06, Wm: 32, MinRTO: 1,
-			Duration: 1500, Seed: 21, Variant: variant,
-		}).SendRate()
+		return Sim(WithPath(0.1), WithBurstLoss(0.004, 0.06), WithWindow(32), WithMinRTO(1), WithDuration(1500), WithSeed(21), WithOS(variant)).SendRate()
 	}
 	var classic, newreno float64
 	for i := 0; i < b.N; i++ {
@@ -266,8 +263,8 @@ func BenchmarkAblationFastRecovery(b *testing.B) {
 func BenchmarkAblationDelayedAcks(b *testing.B) {
 	var withDel, without float64
 	for i := 0; i < b.N; i++ {
-		withDel = Simulate(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 2}).SendRate()
-		without = Simulate(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 1}).SendRate()
+		withDel = Sim(WithPath(0.2), WithLoss(0.02), WithMinRTO(1), WithDuration(1000), WithSeed(5), WithDelayedACKs(2)).SendRate()
+		without = Sim(WithPath(0.2), WithLoss(0.02), WithMinRTO(1), WithDuration(1000), WithSeed(5), WithDelayedACKs(1)).SendRate()
 	}
 	b.ReportMetric(without/withDel, "b1-over-b2-speedup")
 }
@@ -384,7 +381,7 @@ func BenchmarkRoundsimTDP(b *testing.B) {
 // BenchmarkSimulatedSecond measures simulator throughput: one simulated
 // second of a saturated 2%-loss connection per iteration.
 func BenchmarkSimulatedSecond(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 32, MinRTO: 1, Duration: float64(b.N), Seed: 11})
+	res := Sim(WithPath(0.1), WithLoss(0.02), WithWindow(32), WithMinRTO(1), WithDuration(float64(b.N)), WithSeed(11))
 	if res.Stats.TotalSent() == 0 {
 		b.Fatal("no traffic")
 	}
@@ -419,7 +416,7 @@ func BenchmarkMultiFlow10(b *testing.B)  { benchMultiFlow(b, 10) }
 func BenchmarkMultiFlow100(b *testing.B) { benchMultiFlow(b, 100) }
 
 func BenchmarkTraceEncode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.02), WithWindow(16), WithDuration(60), WithSeed(1))
 	tr := res.Trace
 	b.SetBytes(int64(len(tr) * 33))
 	b.ResetTimer()
@@ -432,7 +429,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 }
 
 func BenchmarkTraceDecode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.02), WithWindow(16), WithDuration(60), WithSeed(1))
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, res.Trace); err != nil {
 		b.Fatal(err)
@@ -448,7 +445,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 }
 
 func BenchmarkInferLossEvents(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.03), WithWindow(16), WithMinRTO(1), WithDuration(600), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.InferLossEvents(res.Trace, 3)
@@ -456,7 +453,7 @@ func BenchmarkInferLossEvents(b *testing.B) {
 }
 
 func BenchmarkKarnRTTSamples(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.03), WithWindow(16), WithMinRTO(1), WithDuration(600), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.KarnRTTSamples(res.Trace)
@@ -464,7 +461,7 @@ func BenchmarkKarnRTTSamples(b *testing.B) {
 }
 
 func BenchmarkTcpdumpEncode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.02), WithWindow(16), WithDuration(60), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
@@ -475,7 +472,7 @@ func BenchmarkTcpdumpEncode(b *testing.B) {
 }
 
 func BenchmarkTcpdumpDecode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.02), WithWindow(16), WithDuration(60), WithSeed(1))
 	var buf bytes.Buffer
 	if err := trace.EncodeTcpdump(&buf, res.Trace); err != nil {
 		b.Fatal(err)
@@ -491,7 +488,7 @@ func BenchmarkTcpdumpDecode(b *testing.B) {
 }
 
 func BenchmarkFlightSeries(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := Sim(WithPath(0.1), WithLoss(0.03), WithWindow(16), WithMinRTO(1), WithDuration(600), WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.FlightSeries(res.Trace)

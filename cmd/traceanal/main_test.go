@@ -14,9 +14,7 @@ import (
 // writeTestTrace simulates a connection and writes its trace to a file.
 func writeTestTrace(t *testing.T, jsonl bool) string {
 	t.Helper()
-	res := pftk.Simulate(pftk.SimConfig{
-		RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 300, Seed: 5,
-	})
+	res := pftk.Sim(pftk.WithPath(0.1), pftk.WithLoss(0.03), pftk.WithWindow(16), pftk.WithMinRTO(1), pftk.WithDuration(300), pftk.WithSeed(5))
 	name := "t.pftk"
 	if jsonl {
 		name = "t.jsonl"
@@ -90,9 +88,7 @@ func TestUsageErrors(t *testing.T) {
 }
 
 func TestAnalyzeTcpdumpFormat(t *testing.T) {
-	res := pftk.Simulate(pftk.SimConfig{
-		RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 200, Seed: 6,
-	})
+	res := pftk.Sim(pftk.WithPath(0.1), pftk.WithLoss(0.03), pftk.WithWindow(16), pftk.WithMinRTO(1), pftk.WithDuration(200), pftk.WithSeed(6))
 	path := filepath.Join(t.TempDir(), "t.txt")
 	f, err := os.Create(path)
 	if err != nil {

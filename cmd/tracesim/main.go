@@ -7,9 +7,13 @@
 //	tracesim -rtt 0.2 -loss 0.02 -burst 0.3 -wm 12 -dur 3600 -o trace.pftk
 //	tracesim -rtt 0.1 -loss 0.05 -format jsonl -o trace.jsonl
 //	tracesim -loss 0.01 -dur 600 -scenario examples/scenarios/step-loss.json -o step.pftk
+//
+// Exit status: 0 on success, 2 on a bad command line (an unknown flag,
+// an out-of-range value or an unknown -variant), 1 on any other error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,13 +22,27 @@ import (
 	"pftk"
 	"pftk/internal/cli"
 	"pftk/internal/obs"
+	"pftk/internal/reno"
 	"pftk/internal/trace"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fatal(err)
+		_, _ = fmt.Fprintln(os.Stderr, "tracesim:", err)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError marks a bad command line.
+type usageError struct{ error }
+
+// exitCode maps run's error to the process exit status: 2 for a bad
+// command line, as the flag package uses, 1 otherwise.
+func exitCode(err error) int {
+	if errors.As(err, &usageError{}) {
+		return 2
+	}
+	return 1
 }
 
 // run executes the tool against args, writing human output to stdout.
@@ -49,7 +67,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		version = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	if *version {
 		w := cli.NewWriter(stdout)
@@ -58,17 +76,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	switch {
 	case *dur <= 0:
-		return fmt.Errorf("-dur must be a positive duration in simulated seconds, got %v", *dur)
+		return usageError{fmt.Errorf("-dur must be a positive duration in simulated seconds, got %v", *dur)}
 	case *rtt <= 0:
-		return fmt.Errorf("-rtt must be positive seconds, got %v", *rtt)
+		return usageError{fmt.Errorf("-rtt must be positive seconds, got %v", *rtt)}
 	case *loss < 0 || *loss > 1:
-		return fmt.Errorf("-loss is a probability and must be in [0, 1], got %v", *loss)
+		return usageError{fmt.Errorf("-loss is a probability and must be in [0, 1], got %v", *loss)}
 	case *burst < 0:
-		return fmt.Errorf("-burst must be a non-negative duration in seconds, got %v", *burst)
+		return usageError{fmt.Errorf("-burst must be a non-negative duration in seconds, got %v", *burst)}
 	case *minRTO <= 0:
-		return fmt.Errorf("-minrto must be positive seconds, got %v", *minRTO)
+		return usageError{fmt.Errorf("-minrto must be positive seconds, got %v", *minRTO)}
 	case *wm < 1:
-		return fmt.Errorf("-wm must be at least 1 packet, got %d", *wm)
+		return usageError{fmt.Errorf("-wm must be at least 1 packet, got %d", *wm)}
+	}
+	if _, err := reno.ParseVariant(*variant); err != nil {
+		return usageError{fmt.Errorf("-variant: %w", err)}
 	}
 	if *debug != "" {
 		addr, err := obs.ServeDebug(*debug, nil)
@@ -159,9 +180,4 @@ func writeTrace(path, format string, tr trace.Trace) (err error) {
 	default:
 		return fmt.Errorf("unknown format %q", format)
 	}
-}
-
-func fatal(err error) {
-	_, _ = fmt.Fprintln(os.Stderr, "tracesim:", err)
-	os.Exit(1)
 }

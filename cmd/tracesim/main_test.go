@@ -123,6 +123,7 @@ func TestFlagValidation(t *testing.T) {
 		{"negative burst", []string{"-burst", "-1"}, "-burst must be"},
 		{"zero minrto", []string{"-minrto", "0"}, "-minrto must be"},
 		{"zero wm", []string{"-wm", "0"}, "-wm must be"},
+		{"unknown variant", []string{"-variant", "vegas"}, "valid: reno, tahoe, linux, irix, newreno"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +134,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("args %v: error %q missing %q", tc.args, err, tc.want)
+			}
+			if code := exitCode(err); code != 2 {
+				t.Errorf("args %v: exit status %d, want 2", tc.args, code)
 			}
 			if out.Len() > 0 {
 				t.Errorf("args %v: partial output before validation error:\n%s", tc.args, out.String())

@@ -27,14 +27,14 @@ func main() {
 
 	// Validate one point against the packet-level simulator: run a
 	// 1000-second bulk transfer at 2% loss and compare.
-	res := pftk.Simulate(pftk.SimConfig{
-		RTT:      0.2,
-		LossRate: 0.02,
-		Wm:       12,
-		MinRTO:   2.0, // shapes T0 toward the model's 2 s
-		Duration: 1000,
-		Seed:     42,
-	})
+	res := pftk.Sim(
+		pftk.WithPath(0.2),
+		pftk.WithLoss(0.02),
+		pftk.WithWindow(12),
+		pftk.WithMinRTO(2.0), // shapes T0 toward the model's 2 s
+		pftk.WithDuration(1000),
+		pftk.WithSeed(42),
+	)
 	sum := pftk.Analyze(res.Trace)
 	measured := pftk.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: 12, B: 2}
 	fmt.Println()

@@ -17,15 +17,14 @@ func main() {
 	fmt.Println("loss      measured    full(err)      approx(err)    TD-only(err)   TO-dominated?")
 	var errFull, errApprox, errTD []float64
 	for _, loss := range []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.15} {
-		res := pftk.Simulate(pftk.SimConfig{
-			RTT:      0.18,
-			LossRate: loss,
-			BurstDur: 0.2, // correlated losses, as observed on real paths
-			Wm:       24,
-			MinRTO:   1.0,
-			Duration: 3000,
-			Seed:     uint64(loss * 1e6),
-		})
+		res := pftk.Sim(
+			pftk.WithPath(0.18),
+			pftk.WithBurstLoss(loss, 0.2), // correlated losses, as observed on real paths
+			pftk.WithWindow(24),
+			pftk.WithMinRTO(1.0),
+			pftk.WithDuration(3000),
+			pftk.WithSeed(uint64(loss*1e6)),
+		)
 		sum := pftk.Analyze(res.Trace)
 		params := pftk.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: 24, B: 2}
 		if params.Validate() != nil {

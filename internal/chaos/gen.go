@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"pftk/internal/reno"
 	"pftk/internal/scenario"
 	"pftk/internal/sim"
 )
@@ -89,10 +90,11 @@ func (c Case) Validate() error {
 		return fmt.Errorf("chaos: case %d: min_rto must be positive, got %v", c.Index, c.MinRTO)
 	case !(c.Duration > 0) || math.IsInf(c.Duration, 0):
 		return fmt.Errorf("chaos: case %d: duration must be positive and finite, got %v", c.Index, c.Duration)
-	case !validVariants[c.Variant]:
-		return fmt.Errorf("chaos: case %d: unknown variant %q", c.Index, c.Variant)
 	case c.AckEvery < 1:
 		return fmt.Errorf("chaos: case %d: ack_every must be at least 1, got %d", c.Index, c.AckEvery)
+	}
+	if _, err := reno.ParseVariant(c.Variant); err != nil {
+		return fmt.Errorf("chaos: case %d: %w", c.Index, err)
 	}
 	if c.Flows >= 2 {
 		switch {

@@ -19,7 +19,6 @@ import (
 	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/hosts"
-	"pftk/internal/netem"
 	"pftk/internal/obs"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
@@ -138,33 +137,12 @@ func RunPairObserved(p hosts.Pair, duration float64, salt uint64, intervalWidth 
 	return runPair(p, duration, salt, intervalWidth, reg)
 }
 
-// engineHooks is the standard engine wiring: total events fired, queue
-// depth high-water mark, and cancels, all into preallocated handles.
-func engineHooks(reg *obs.Registry) sim.Hooks {
-	events := reg.Counter("sim.events")
-	depth := reg.Gauge("sim.queue.depth")
-	cancels := reg.Counter("sim.cancels")
-	return sim.Hooks{
-		EventFired: func(_ float64, pending int) {
-			events.Inc()
-			depth.Set(float64(pending))
-		},
-		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
-		Cancelled: func() { cancels.Inc() },
-	}
-}
-
 func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
 	start := time.Now()
 	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})
 	cfg := p.ConnConfig(salt)
 	var eng sim.Engine
-	if reg != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(reg)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(engineHooks(reg))
-	}
+	reno.Observe(&eng, &cfg, reg)
 	res := reno.NewConnection(&eng, cfg).Run(duration)
 	events := analysis.InferLossEvents(res.Trace, p.SenderVariant().DupThreshold)
 	pr := PairRun{

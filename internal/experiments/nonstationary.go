@@ -144,12 +144,7 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 		Path:     netem.SymmetricPath(cs.RTT/2, loss),
 	}
 	var eng sim.Engine
-	if reg != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(reg)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(engineHooks(reg))
-	}
+	reno.Observe(&eng, &cfg, reg)
 	conn := reno.NewConnection(&eng, cfg)
 	runner := scenario.Bind(&eng, conn.Path, scenario.Config{
 		Scenario: cs.Scenario,

@@ -24,23 +24,38 @@ import (
 
 	"pftk/internal/core"
 	"pftk/internal/netem"
+	"pftk/internal/obs"
 	"pftk/internal/pkt"
 	"pftk/internal/reno"
+	"pftk/internal/scenario"
 	"pftk/internal/sim"
 	"pftk/internal/tfrc"
 	"pftk/internal/trace"
 )
 
-// FlowSpec describes one sender in a multi-flow simulation, in the same
-// vocabulary as the single-flow SimConfig.
+// Run defaults for the knobs a caller leaves unset; the /v1/simulate
+// request normalizer fills the same values from these constants. The
+// sender defaults live in package reno.
+const (
+	// DefaultRTT is a flow's two-way propagation delay in seconds.
+	DefaultRTT = 0.1
+	// DefaultDuration is the run length in simulated seconds.
+	DefaultDuration = 100
+)
+
+// FlowSpec describes one sender. A pftk.Sim run is always a list of
+// FlowSpecs: a single-flow run is one spec, WithFlowCount replicates
+// one spec n times and WithFlows passes the list through.
 type FlowSpec struct {
 	// Variant selects the flow's congestion control: "reno" (default),
-	// "tahoe", "newreno", "linux", "irix" or "tfrc".
+	// "tahoe", "linux", "irix", "newreno" (see reno.ParseVariant) or
+	// "tfrc". Any other name runs Reno, and the flow's result reports
+	// "reno".
 	Variant string
 	// RTT is the flow's two-way propagation delay in seconds (default
-	// 0.1). On a shared bottleneck the forward direction contributes
-	// the bottleneck's one-way delay; the reverse link supplies the
-	// remainder.
+	// DefaultRTT). On a shared bottleneck the forward direction
+	// contributes the bottleneck's one-way delay; the reverse link
+	// supplies the remainder.
 	RTT float64
 	// LossRate is a per-flow random loss probability applied on the
 	// flow's access path, before the shared bottleneck (Bernoulli, or
@@ -50,11 +65,14 @@ type FlowSpec struct {
 	// BurstDur is the loss-outage duration in seconds (0 = isolated
 	// single-packet losses).
 	BurstDur float64
-	// Wm is the receiver's advertised window in packets (default 64).
+	// Wm is the receiver's advertised window in packets (default
+	// reno.DefaultRWnd).
 	Wm int
-	// MinRTO floors the retransmission timeout (default 1 s).
+	// MinRTO floors the retransmission timeout (default
+	// reno.DefaultMinRTO).
 	MinRTO float64
-	// AckEvery is the receiver's delayed-ACK ratio b (default 2).
+	// AckEvery is the receiver's delayed-ACK ratio b (default
+	// core.DefaultB).
 	AckEvery int
 	// Start delays the flow's first transmission (seconds from run
 	// start).
@@ -83,18 +101,28 @@ type Bottleneck struct {
 type Config struct {
 	Flows      []FlowSpec
 	Bottleneck Bottleneck
-	// Duration is the run length in simulated seconds (default 100).
+	// Duration is the run length in simulated seconds (default
+	// DefaultDuration).
 	Duration float64
 	// Seed derives per-flow seeds for flows that leave Seed zero, and
 	// drives the shared RED controller when enabled.
 	Seed uint64
+	// TotalPackets, when positive, makes every TCP flow a finite
+	// transfer of that many packets; Complete reports when all have
+	// finished. Zero keeps the paper's saturated senders.
+	TotalPackets uint64
+	// Registry, when set, instruments the engine and each disjoint-mode
+	// flow's path and sender with the standard metrics (see
+	// reno.Observe). Flows share the metric names.
+	Registry *obs.Registry
 }
 
 // FlowResult is one flow's measured outcome.
 type FlowResult struct {
 	// ID is the flow's index in Config.Flows and its packet Flow stamp.
 	ID int
-	// Variant echoes the spec.
+	// Variant names the congestion control that ran (see
+	// FlowSpec.Variant).
 	Variant string
 	// Result carries the TCP result (trace, sender stats, delivered);
 	// zero-valued for TFRC flows, which have no sender-side trace.
@@ -145,29 +173,16 @@ type Result struct {
 	Fairness Fairness
 }
 
+// normalize fills the spec's defaults and replaces an unknown variant
+// name with the Reno that runs in its place.
 func (s FlowSpec) normalize() FlowSpec {
-	if s.Variant == "" {
-		s.Variant = "reno"
+	if _, err := reno.ParseVariant(s.Variant); err != nil && s.Variant != "tfrc" {
+		s.Variant = reno.Reno.Name
 	}
 	if s.RTT <= 0 {
-		s.RTT = 0.1
+		s.RTT = DefaultRTT
 	}
 	return s
-}
-
-func (s FlowSpec) renoVariant() reno.Variant {
-	switch s.Variant {
-	case "tahoe":
-		return reno.Tahoe
-	case "linux":
-		return reno.Linux
-	case "irix":
-		return reno.Irix
-	case "newreno":
-		return reno.NewReno
-	default:
-		return reno.Reno
-	}
 }
 
 // flowSeed derives flow i's seed when the spec leaves it zero, forking
@@ -180,11 +195,9 @@ func flowSeed(runSeed uint64, i int, spec FlowSpec) uint64 {
 	return sim.NewRNG(runSeed).Fork(fmt.Sprintf("flow.%d", i)).Uint64()
 }
 
-// lossModel builds the flow's private loss process from its own seed,
-// with the same fork label the single-flow facade uses so disjoint-mode
-// flows reproduce independent runs byte for byte.
-func lossModel(spec FlowSpec, seed uint64) netem.LossModel {
-	rng := sim.NewRNG(seed)
+// lossModel builds the flow's private loss process, forked from the
+// flow's own stream under the label "loss".
+func lossModel(spec FlowSpec, rng *sim.RNG) netem.LossModel {
 	switch {
 	case spec.LossRate <= 0:
 		return nil
@@ -197,7 +210,10 @@ func lossModel(spec FlowSpec, seed uint64) netem.LossModel {
 
 // flow is the per-flow runtime state while the engine runs.
 type flow struct {
-	spec FlowSpec
+	spec FlowSpec // normalized
+	rng  *sim.RNG // the flow's stream, after the "loss" fork
+	loss netem.LossModel
+	path *netem.Path      // private path; nil on a shared bottleneck
 	conn *reno.Connection // TCP flows
 	tfrc *tfrc.Flow       // TFRC flows
 }
@@ -216,7 +232,7 @@ type Engine struct {
 // run but no flow has started.
 func New(eng *sim.Engine, cfg Config) *Engine {
 	if cfg.Duration <= 0 {
-		cfg.Duration = 100
+		cfg.Duration = DefaultDuration
 	}
 	m := &Engine{cfg: cfg, eng: eng}
 	shared := cfg.Bottleneck.Rate > 0
@@ -239,67 +255,72 @@ func New(eng *sim.Engine, cfg Config) *Engine {
 	}
 
 	for i, spec := range cfg.Flows {
-		spec = spec.normalize()
-		seed := flowSeed(cfg.Seed, i, spec)
-		loss := lossModel(spec, seed)
-		if !shared {
-			m.flows = append(m.flows, m.buildDisjoint(i, spec, loss))
-			continue
+		f := flow{spec: spec.normalize()}
+		f.rng = sim.NewRNG(flowSeed(cfg.Seed, i, f.spec))
+		f.loss = lossModel(f.spec, f.rng)
+		if shared {
+			m.buildShared(i, &f, sharedPath)
+		} else {
+			m.buildDisjoint(i, &f)
 		}
-		m.flows = append(m.flows, m.buildShared(i, spec, loss, sharedPath))
+		m.flows = append(m.flows, f)
 	}
 	return m
 }
 
-// buildDisjoint gives flow i a private symmetric path, replicating the
-// single-flow facade's construction exactly — the basis of the lockstep
-// oracle.
-func (m *Engine) buildDisjoint(i int, spec FlowSpec, loss netem.LossModel) flow {
+// senderConfig is flow i's TCP sender configuration.
+func (m *Engine) senderConfig(i int, spec FlowSpec) reno.SenderConfig {
+	v, _ := reno.ParseVariant(spec.Variant) // normalized: always valid for TCP flows
+	return reno.SenderConfig{
+		Variant:      v,
+		RWnd:         spec.Wm,
+		MinRTO:       spec.MinRTO,
+		TotalPackets: m.cfg.TotalPackets,
+		FlowID:       int32(i),
+	}
+}
+
+// buildDisjoint gives flow i a private symmetric path. A one-flow
+// disjoint run is the pftk facade's single-flow run, and N disjoint
+// flows reproduce N such runs byte for byte — the lockstep oracle.
+func (m *Engine) buildDisjoint(i int, f *flow) {
 	cfg := reno.ConnConfig{
-		Sender: reno.SenderConfig{
-			Variant: spec.renoVariant(),
-			RWnd:    spec.Wm,
-			MinRTO:  spec.MinRTO,
-			FlowID:  int32(i),
-		},
-		Receiver: reno.ReceiverConfig{AckEvery: spec.AckEvery, FlowID: int32(i)},
-		Path:     netem.SymmetricPath(spec.RTT/2, loss),
+		Sender:   m.senderConfig(i, f.spec),
+		Receiver: reno.ReceiverConfig{AckEvery: f.spec.AckEvery, FlowID: int32(i)},
+		Path:     netem.SymmetricPath(f.spec.RTT/2, f.loss),
 	}
-	if spec.Variant == "tfrc" {
-		path := netem.NewPath(m.eng, cfg.Path)
-		f := tfrc.NewFlow(m.eng, path, tfrc.Config{FlowID: int32(i)})
-		return flow{spec: spec, tfrc: f}
+	reno.Observe(m.eng, &cfg, m.cfg.Registry)
+	if f.spec.Variant == "tfrc" {
+		f.path = netem.NewPath(m.eng, cfg.Path)
+		f.tfrc = tfrc.NewFlow(m.eng, f.path, tfrc.Config{FlowID: int32(i)})
+		return
 	}
-	return flow{spec: spec, conn: reno.NewConnection(m.eng, cfg)}
+	f.conn = reno.NewConnection(m.eng, cfg)
+	f.path = f.conn.Path
 }
 
 // buildShared attaches flow i to the shared bottleneck: the forward
 // direction is the common link (behind the flow's private access-loss
 // wrapper when configured), the reverse direction a private delay link
 // carrying the remainder of the flow's propagation RTT.
-func (m *Engine) buildShared(i int, spec FlowSpec, loss netem.LossModel, shared reno.DataPath) flow {
-	revDelay := spec.RTT - m.cfg.Bottleneck.OneWay
+func (m *Engine) buildShared(i int, f *flow, shared reno.DataPath) {
+	revDelay := f.spec.RTT - m.cfg.Bottleneck.OneWay
 	if revDelay < 0 {
 		revDelay = 0
 	}
 	rev := netem.NewLink(m.eng, netem.LinkConfig{Delay: netem.ConstantDelay(revDelay)})
 	forward := shared
-	if loss != nil {
-		forward = &lossyPath{eng: m.eng, next: shared, loss: loss}
+	if f.loss != nil {
+		forward = &lossyPath{eng: m.eng, next: shared, loss: f.loss}
 	}
-	if spec.Variant == "tfrc" {
-		f := tfrc.NewFlowOnLinks(m.eng, forward, rev, tfrc.Config{FlowID: int32(i)})
-		return flow{spec: spec, tfrc: f}
+	if f.spec.Variant == "tfrc" {
+		f.tfrc = tfrc.NewFlowOnLinks(m.eng, forward, rev, tfrc.Config{FlowID: int32(i)})
+		return
 	}
-	snd := reno.NewSender(m.eng, forward, reno.SenderConfig{
-		Variant: spec.renoVariant(),
-		RWnd:    spec.Wm,
-		MinRTO:  spec.MinRTO,
-		FlowID:  int32(i),
-	})
-	rcv := reno.NewReceiver(m.eng, rev, snd.OnAck, reno.ReceiverConfig{AckEvery: spec.AckEvery, FlowID: int32(i)})
+	snd := reno.NewSender(m.eng, forward, m.senderConfig(i, f.spec))
+	rcv := reno.NewReceiver(m.eng, rev, snd.OnAck, reno.ReceiverConfig{AckEvery: f.spec.AckEvery, FlowID: int32(i)})
 	snd.SetDeliver(rcv.OnPacket)
-	return flow{spec: spec, conn: &reno.Connection{Eng: m.eng, Sender: snd, Receiver: rcv}}
+	f.conn = &reno.Connection{Eng: m.eng, Sender: snd, Receiver: rcv}
 }
 
 // lossyPath drops packets with the flow's private loss process before
@@ -361,6 +382,61 @@ func (m *Engine) sent(i int) int {
 // Bottleneck returns the shared forward link, or nil in disjoint mode.
 func (m *Engine) Bottleneck() *netem.Link { return m.fwd }
 
+// Duration is the run length: Config.Duration, or DefaultDuration when
+// that was unset.
+func (m *Engine) Duration() float64 { return m.cfg.Duration }
+
+// Path returns flow i's private path, or nil on a shared bottleneck.
+func (m *Engine) Path(i int) *netem.Path { return m.flows[i].path }
+
+// BindScenario schedules sc over flow i's private path. The scenario's
+// base state is the flow's propagation RTT and steady-state loss
+// process, its randomness the flow's stream forked under "scenario"
+// (after the "loss" fork), and horizon bounds the expansion of
+// unbounded periodic faults. Call it between New and Start, in disjoint
+// mode only.
+func (m *Engine) BindScenario(i int, sc *scenario.Scenario, horizon float64) *scenario.Runner {
+	f := &m.flows[i]
+	return scenario.Bind(m.eng, f.path, scenario.Config{
+		Scenario: sc,
+		RNG:      f.rng.Fork("scenario"),
+		Base:     scenario.Base{RTT: f.spec.RTT, Loss: f.loss},
+		Horizon:  horizon,
+		Registry: m.cfg.Registry,
+	})
+}
+
+// Complete reports whether every flow has finished a finite transfer
+// of Config.TotalPackets. It is false for saturated runs and whenever a
+// TFRC flow is present.
+func (m *Engine) Complete() bool {
+	for i := range m.flows {
+		if c := m.flows[i].conn; c == nil || !c.Sender.Complete() {
+			return false
+		}
+	}
+	return true
+}
+
+// Stop halts flow i and returns its TCP measurements at the engine's
+// current time: trace, sender counters and delivered count (zero-valued
+// for a TFRC flow, which has no sender-side trace). Callers that need
+// only these skip the per-flow analysis Finish does.
+func (m *Engine) Stop(i int) reno.Result {
+	f := &m.flows[i]
+	if f.tfrc != nil {
+		f.tfrc.Stop()
+		return reno.Result{}
+	}
+	f.conn.Sender.Stop()
+	return reno.Result{
+		Duration:  m.eng.Now(),
+		Trace:     f.conn.Sender.Trace(),
+		Stats:     f.conn.Sender.Stats(),
+		Delivered: f.conn.Receiver.Delivered(),
+	}
+}
+
 // Finish stops every flow and assembles the result at the engine's
 // current time.
 func (m *Engine) Finish() Result {
@@ -368,33 +444,20 @@ func (m *Engine) Finish() Result {
 	res := Result{Duration: now}
 	for i := range m.flows {
 		f := &m.flows[i]
-		fr := FlowResult{ID: i, Variant: f.spec.normalize().Variant}
+		fr := FlowResult{ID: i, Variant: f.spec.Variant, Result: m.Stop(i)}
 		if f.tfrc != nil {
-			f.tfrc.Stop()
 			fr.Rate = float64(f.tfrc.Sent()) / now
 			fr.Throughput = float64(f.tfrc.Received()) / now
 			fr.P = f.tfrc.LossEventRate()
 			fr.MeanRTT = f.spec.RTT
 		} else {
-			f.conn.Sender.Stop()
-			st := f.conn.Sender.Stats()
-			fr.Result = reno.Result{
-				Duration:  now,
-				Trace:     f.conn.Sender.Trace(),
-				Stats:     st,
-				Delivered: f.conn.Receiver.Delivered(),
-			}
 			fr.Rate = fr.Result.SendRate()
 			fr.Throughput = fr.Result.Throughput()
 			fr.P = fr.Result.LossIndicationRate()
 			fr.MeanRTT = meanRTT(fr.Result.Trace, f.spec.RTT)
 		}
 		if fr.P > 0 && fr.MeanRTT > 0 {
-			b := f.spec.AckEvery
-			if b < 1 {
-				b = 2
-			}
-			fr.Predicted = core.SendRateTDOnly(fr.P, fr.MeanRTT, float64(b))
+			fr.Predicted = core.SendRateTDOnly(fr.P, fr.MeanRTT, float64(f.spec.AckEvery))
 		}
 		if m.fwd != nil {
 			fr.Link = m.fwd.FlowStats(i)

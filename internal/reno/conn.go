@@ -133,14 +133,3 @@ func (c *Connection) RunUntilComplete(deadline float64) (Result, float64) {
 		Delivered: c.Receiver.Delivered(),
 	}, done
 }
-
-// TransferTime simulates a finite transfer of n packets over the given
-// configuration and returns the completion time in seconds (deadline on
-// non-completion).
-func TransferTime(cfg ConnConfig, n uint64, deadline float64) float64 {
-	cfg.Sender.TotalPackets = n
-	var eng sim.Engine
-	conn := NewConnection(&eng, cfg)
-	_, done := conn.RunUntilComplete(deadline)
-	return done
-}

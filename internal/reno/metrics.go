@@ -1,6 +1,10 @@
 package reno
 
-import "pftk/internal/obs"
+import (
+	"pftk/internal/netem"
+	"pftk/internal/obs"
+	"pftk/internal/sim"
+)
 
 // Metrics carries the sender's optional observability handles. The zero
 // value (all-nil handles) disables collection; the ACK-processing hot
@@ -58,4 +62,31 @@ func NewMetrics(r *obs.Registry) Metrics {
 		TimerCancels:  r.Counter("reno.timer.cancels"),
 		Acks:          r.Counter("reno.acks"),
 	}
+}
+
+// Observe instruments a connection about to be built on eng with the
+// standard metrics on reg: the engine (sim.events, sim.queue.depth,
+// sim.cancels), both path directions (netem.fwd.*, netem.rev.*) and the
+// sender (reno.*). Every handle is preallocated, so the hooks never
+// allocate on the hot path, and none draws randomness, so an observed
+// run is byte-identical to an unobserved one. A nil registry leaves eng
+// and cfg untouched.
+func Observe(eng *sim.Engine, cfg *ConnConfig, reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	cfg.Sender.Metrics = NewMetrics(reg)
+	cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
+	cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
+	events := reg.Counter("sim.events")
+	depth := reg.Gauge("sim.queue.depth")
+	cancels := reg.Counter("sim.cancels")
+	eng.SetHooks(sim.Hooks{
+		EventFired: func(_ float64, pending int) {
+			events.Inc()
+			depth.Set(float64(pending))
+		},
+		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
+		Cancelled: func() { cancels.Inc() },
+	})
 }

@@ -1,6 +1,7 @@
 package reno
 
 import (
+	"pftk/internal/core"
 	"pftk/internal/netem"
 	"pftk/internal/pkt"
 	"pftk/internal/sim"
@@ -10,7 +11,7 @@ import (
 type ReceiverConfig struct {
 	// AckEvery is the paper's b: a cumulative ACK is generated for every
 	// AckEvery in-order packets (2 emulates delayed ACKs, 1 acks every
-	// packet). Values < 1 default to 2.
+	// packet). Values < 1 default to core.DefaultB.
 	AckEvery int
 	// DelAckTimeout flushes a holding delayed ACK after this many
 	// seconds. Zero defaults to the classic 200 ms heartbeat; negative
@@ -25,7 +26,7 @@ type ReceiverConfig struct {
 
 func (c ReceiverConfig) normalize() ReceiverConfig {
 	if c.AckEvery < 1 {
-		c.AckEvery = 2
+		c.AckEvery = core.DefaultB
 	}
 	if c.DelAckTimeout == 0 {
 		c.DelAckTimeout = 0.2

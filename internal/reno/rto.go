@@ -15,7 +15,11 @@
 // every transmission is logged to a trace.Trace for the analysis package.
 package reno
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // RTO estimation constants (Jacobson/Karels).
 const (
@@ -138,17 +142,36 @@ var (
 	NewReno = Variant{Name: "newreno", DupThreshold: 3, MaxBackoffExp: 6, NewReno: true}
 )
 
+// variants is the name table over the standard variants.
+var variants = [...]Variant{Reno, Tahoe, Linux, Irix, NewReno}
+
+// ParseVariant returns the standard variant called name: "reno",
+// "tahoe", "linux", "irix" or "newreno". Any other name is an error
+// that lists the valid ones.
+func ParseVariant(name string) (Variant, error) {
+	for _, v := range variants {
+		if v.Name == name {
+			return v, nil
+		}
+	}
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.Name
+	}
+	return Variant{}, fmt.Errorf("unknown variant %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
 // normalize fills zero fields with Reno defaults so the zero Variant is
 // usable.
 func (v Variant) normalize() Variant {
 	if v.DupThreshold <= 0 {
-		v.DupThreshold = 3
+		v.DupThreshold = Reno.DupThreshold
 	}
 	if v.MaxBackoffExp <= 0 {
-		v.MaxBackoffExp = 6
+		v.MaxBackoffExp = Reno.MaxBackoffExp
 	}
 	if v.Name == "" {
-		v.Name = "reno"
+		v.Name = Reno.Name
 	}
 	return v
 }

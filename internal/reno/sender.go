@@ -8,6 +8,16 @@ import (
 	"pftk/internal/trace"
 )
 
+// Defaults for the sender knobs a caller leaves unset; the /v1/simulate
+// request normalizer fills the same values from these constants.
+const (
+	// DefaultRWnd is the receiver's advertised window Wm in packets.
+	DefaultRWnd = 64
+	// DefaultMinRTO floors the retransmission timeout, in seconds
+	// (RFC 6298).
+	DefaultMinRTO = 1.0
+)
+
 // SenderConfig controls the saturated ("infinite source") Reno sender.
 type SenderConfig struct {
 	// Variant selects the protocol flavor; the zero value is standard
@@ -15,7 +25,7 @@ type SenderConfig struct {
 	Variant Variant
 	// RWnd is the receiver's advertised window Wm in packets; the
 	// in-flight data never exceeds min(cwnd, RWnd). Values < 1 default
-	// to 64.
+	// to DefaultRWnd.
 	RWnd int
 	// InitialCwnd is the initial congestion window (packets); values
 	// < 1 default to 1.
@@ -23,7 +33,7 @@ type SenderConfig struct {
 	// InitialSsthresh defaults to the advertised window when <= 0.
 	InitialSsthresh float64
 	// MinRTO, MaxRTO and Tick configure the RTO estimator; MinRTO
-	// defaults to 1 s (RFC 6298), Tick to 0.5 s (BSD coarse timer) when
+	// defaults to DefaultMinRTO, Tick to 0.5 s (BSD coarse timer) when
 	// both are zero-valued only if UseDefaults is kept.
 	MinRTO, MaxRTO, Tick float64
 	// TraceCwnd, when set, logs a KindCwndChange record on every
@@ -46,7 +56,7 @@ type SenderConfig struct {
 func (c SenderConfig) normalize() SenderConfig {
 	c.Variant = c.Variant.normalize()
 	if c.RWnd < 1 {
-		c.RWnd = 64
+		c.RWnd = DefaultRWnd
 	}
 	if c.InitialCwnd < 1 {
 		c.InitialCwnd = 1
@@ -55,7 +65,7 @@ func (c SenderConfig) normalize() SenderConfig {
 		c.InitialSsthresh = float64(c.RWnd)
 	}
 	if c.MinRTO <= 0 {
-		c.MinRTO = 1.0
+		c.MinRTO = DefaultMinRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = 240

@@ -53,16 +53,17 @@ func TestFiniteTransferWithLossStillCompletes(t *testing.T) {
 }
 
 func TestTransferTimeDeadline(t *testing.T) {
-	// A blackholed transfer never completes; TransferTime returns the
-	// deadline.
+	// A blackholed transfer never completes; RunUntilComplete returns
+	// the deadline.
 	cfg := ConnConfig{
-		Sender: SenderConfig{RWnd: 4, MinRTO: 0.5},
+		Sender: SenderConfig{RWnd: 4, MinRTO: 0.5, TotalPackets: 10},
 		Path: netem.PathConfig{
 			Forward: netem.LinkConfig{Delay: netem.ConstantDelay(0.05), Loss: &netem.Periodic{N: 1}},
 			Reverse: netem.LinkConfig{Delay: netem.ConstantDelay(0.05)},
 		},
 	}
-	if got := TransferTime(cfg, 10, 30); got != 30 {
+	var eng sim.Engine
+	if _, got := NewConnection(&eng, cfg).RunUntilComplete(30); got != 30 {
 		t.Errorf("blackholed transfer time = %g, want deadline 30", got)
 	}
 }
@@ -126,10 +127,11 @@ func lossOrNil(p float64, seed uint64) netem.LossModel {
 // rate.
 func TestShortFlowsSlowerThanSteadyState(t *testing.T) {
 	rtt, drop := 0.1, 0.02
-	short := TransferTime(ConnConfig{
-		Sender: SenderConfig{RWnd: 64, MinRTO: 1.0},
+	var eng sim.Engine
+	_, short := NewConnection(&eng, ConnConfig{
+		Sender: SenderConfig{RWnd: 64, MinRTO: 1.0, TotalPackets: 20},
 		Path:   netem.SymmetricPath(rtt/2, netem.NewBernoulli(drop, sim.NewRNG(1))),
-	}, 20, 600)
+	}).RunUntilComplete(600)
 	shortRate := 20 / short
 
 	long := RunConnection(ConnConfig{

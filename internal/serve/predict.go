@@ -23,6 +23,12 @@ const (
 // costs a power iteration rather than a formula evaluation.
 var defaultModels = []string{ModelNameApprox, ModelNameFull, ModelNameTDOnly, ModelNameThroughput}
 
+// maxMarkovStates bounds wm·b for the "markov" model. The chain's state
+// space, and so its solve time, grows with wm·b: wm 4096, b 2 already
+// takes over a second at p = 1e-6, and larger windows pin a pool worker
+// for minutes.
+const maxMarkovStates = 4096
+
 // PredictRequest asks for model predictions at one (p, RTT, T0, Wm, b)
 // operating point.
 type PredictRequest struct {
@@ -94,6 +100,9 @@ func (r PredictRequest) validate() error {
 			}
 			if !(r.P > 0 && r.P < 1) {
 				return fmt.Errorf("model %q needs p strictly inside (0, 1), got %v", m, r.P)
+			}
+			if r.Wm*float64(r.B) > maxMarkovStates {
+				return fmt.Errorf("model %q needs wm·b at most %d, got %v·%d", m, maxMarkovStates, r.Wm, r.B)
 			}
 		default:
 			return fmt.Errorf("unknown model %q (valid: %s, %s, %s, %s, %s)", m,

@@ -229,12 +229,6 @@ func normalizedPoint(body string) (PredictRequest, bool) {
 	if r.validate() != nil {
 		return PredictRequest{}, false
 	}
-	for _, m := range r.Models {
-		// The chain's state space grows as wm·b; keep fuzzed solves small.
-		if m == ModelNameMarkov && r.Wm*float64(r.B) > 4096 {
-			return PredictRequest{}, false
-		}
-	}
 	return r, true
 }
 

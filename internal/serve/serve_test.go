@@ -117,6 +117,7 @@ func TestPredictBadRequests(t *testing.T) {
 		{"unknown model", `{"p":0.02,"rtt":0.2,"t0":2.0,"models":["mathis"]}`, "unknown model"},
 		{"markov without wm", `{"p":0.02,"rtt":0.2,"t0":2.0,"models":["markov"]}`, "needs wm"},
 		{"markov at p=0", `{"p":0,"rtt":0.2,"t0":2.0,"wm":8,"models":["markov"]}`, "strictly inside"},
+		{"markov state space", `{"p":1e-6,"rtt":0.2,"t0":2.0,"wm":65536,"b":2,"models":["markov"]}`, "wm·b at most 4096"},
 		{"empty batch", `{"requests":[]}`, "empty batch"},
 		{"oversized batch", `{"requests":[{},{},{},{},{}]}`, "exceeds limit"},
 		{"bad batch item", `{"requests":[{"p":0.02,"rtt":0.2,"t0":2.0},{"p":-1,"rtt":0.2,"t0":2.0}]}`, "request 1"},

@@ -6,13 +6,10 @@ import (
 
 	"pftk"
 	"pftk/internal/core"
+	"pftk/internal/multiflow"
+	"pftk/internal/reno"
 	"pftk/internal/scenario"
 )
-
-// simVariants is the set of sender flavors the simulator implements.
-var simVariants = map[string]bool{
-	"reno": true, "tahoe": true, "linux": true, "irix": true, "newreno": true,
-}
 
 // SimulateRequest describes one deterministic packet-level bulk-transfer
 // simulation. Together with the seed it fully determines the outcome,
@@ -51,26 +48,32 @@ type SimulateRequest struct {
 	Scenario *scenario.Scenario `json:"scenario,omitempty"`
 }
 
-// normalize fills defaults so that equivalent requests share one cache
-// key and the simulation layer never sees implicit zeros.
+// normalize fills the simulator's defaults into zero fields only, so
+// that equivalent requests share one cache key and the simulation layer
+// never sees implicit zeros, while negative inputs still reach validate.
 func (r SimulateRequest) normalize() SimulateRequest {
 	if r.RTT == 0 {
-		r.RTT = 0.1
+		r.RTT = multiflow.DefaultRTT
+	}
+	// Writing +0 folds -0: the same simulation, which JSON (and so the
+	// cache key) would otherwise keep apart.
+	if r.LossRate == 0 {
+		r.LossRate = 0
 	}
 	if r.Wm == 0 {
-		r.Wm = 64
+		r.Wm = reno.DefaultRWnd
 	}
 	if r.MinRTO == 0 {
-		r.MinRTO = 1
+		r.MinRTO = reno.DefaultMinRTO
 	}
 	if r.Duration == 0 {
-		r.Duration = 100
+		r.Duration = multiflow.DefaultDuration
 	}
 	if r.Variant == "" {
-		r.Variant = "reno"
+		r.Variant = reno.Reno.Name
 	}
 	if r.AckEvery == 0 {
-		r.AckEvery = 2
+		r.AckEvery = core.DefaultB
 	}
 	return r
 }
@@ -96,10 +99,11 @@ func (r SimulateRequest) validate() error {
 		return fmt.Errorf("duration must be positive, got %v", r.Duration)
 	case r.Duration > maxSimDuration:
 		return fmt.Errorf("duration must be at most %d simulated seconds, got %v", maxSimDuration, r.Duration)
-	case !simVariants[r.Variant]:
-		return fmt.Errorf("unknown variant %q (valid: reno, tahoe, linux, irix, newreno)", r.Variant)
 	case r.AckEvery < 1:
 		return fmt.Errorf("ack_every must be at least 1, got %d", r.AckEvery)
+	}
+	if _, err := reno.ParseVariant(r.Variant); err != nil {
+		return err
 	}
 	if err := r.Scenario.Validate(); err != nil {
 		return err

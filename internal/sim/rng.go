@@ -10,11 +10,16 @@ type RNG struct {
 	state uint64
 }
 
-// NewRNG returns a generator seeded with seed. A zero seed is remapped to
-// a fixed non-zero constant (xorshift state must be non-zero).
+// ZeroSeed is the non-zero seed NewRNG substitutes for a zero seed
+// (xorshift state must be non-zero): NewRNG(0) and NewRNG(ZeroSeed) are
+// the same stream.
+const ZeroSeed = 0x9e3779b97f4a7c15
+
+// NewRNG returns a generator seeded with seed; a zero seed means
+// ZeroSeed.
 func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
+		seed = ZeroSeed
 	}
 	r := &RNG{state: seed}
 	// Warm up so close seeds diverge immediately.

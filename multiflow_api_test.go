@@ -2,13 +2,10 @@ package pftk
 
 // Facade-level multi-flow tests: the lockstep oracle (disjoint flows
 // reproduce independent single-flow runs byte for byte), the
-// WithTransfer/SimulateTransfer equivalence pins, and the guarantee
-// that the redesigned SimResult leaves the single-flow path untouched.
+// WithTransfer pins, and the guarantee that single-flow results carry
+// no multi-flow or transfer fields.
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestLockstepOracle runs N flows on disjoint paths inside ONE engine
 // and checks each is byte-identical to the same flow run alone through
@@ -56,40 +53,31 @@ func TestLockstepOracle(t *testing.T) {
 	}
 }
 
-// TestTransferPins pins the finite-transfer path: the deprecated
-// SimulateTransfer and the WithTransfer option must return the exact
-// same completion times, and those times are pinned to the values the
-// construction has produced since the seed (any drift means the
-// transfer path's RNG or event order changed).
+// TestTransferPins pins the finite-transfer path: the completion times
+// are the values the construction has produced since the seed (any
+// drift means the transfer path's RNG or event order changed).
 func TestTransferPins(t *testing.T) {
 	cases := []struct {
 		name     string
-		cfg      SimConfig
-		n        int
+		opts     []SimOption
 		deadline float64
+		want     float64
 	}{
-		{"clean", SimConfig{RTT: 0.1, Wm: 16, Seed: 1}, 200, 120},
-		{"lossy", SimConfig{RTT: 0.1, LossRate: 0.05, Wm: 16, MinRTO: 1, Seed: 2}, 200, 600},
-		{"burst", SimConfig{RTT: 0.1, LossRate: 0.02, BurstDur: 0.15, Wm: 16, MinRTO: 1, Seed: 3}, 200, 600},
+		{"clean", []SimOption{WithPath(0.1), WithWindow(16), WithSeed(1)}, 120, 2.200000000000001},
+		{"lossy", []SimOption{WithPath(0.1), WithLoss(0.05), WithWindow(16), WithMinRTO(1), WithSeed(2)}, 600, 9.799999999999995},
+		{"burst", []SimOption{WithPath(0.1), WithBurstLoss(0.02, 0.15), WithWindow(16), WithMinRTO(1), WithSeed(3)}, 600, 9.899999999999997},
 	}
+	const n = 200
 	for _, c := range cases {
-		legacy := SimulateTransfer(c.cfg, c.n, c.deadline)
-		res := Sim(
-			WithPath(c.cfg.RTT),
-			WithBurstLoss(c.cfg.LossRate, c.cfg.BurstDur),
-			WithWindow(c.cfg.Wm),
-			WithMinRTO(c.cfg.MinRTO),
-			WithSeed(c.cfg.Seed),
-			WithTransfer(c.n, c.deadline),
-		)
-		if res.TransferTime != legacy {
-			t.Errorf("%s: WithTransfer = %v, SimulateTransfer = %v", c.name, res.TransferTime, legacy)
+		res := Sim(append(c.opts, WithTransfer(n, c.deadline))...)
+		if res.TransferTime != c.want {
+			t.Errorf("%s: TransferTime = %v, want %v", c.name, res.TransferTime, c.want)
 		}
 		if !res.TransferComplete {
 			t.Errorf("%s: transfer did not complete (time %v)", c.name, res.TransferTime)
 		}
-		if res.Delivered < uint64(c.n) {
-			t.Errorf("%s: delivered %d < %d", c.name, res.Delivered, c.n)
+		if res.Delivered < n {
+			t.Errorf("%s: delivered %d < %d", c.name, res.Delivered, n)
 		}
 	}
 }
@@ -106,14 +94,12 @@ func TestTransferDeadline(t *testing.T) {
 	}
 }
 
-// TestSingleFlowResultShape: the redesigned SimResult must leave
-// single-flow runs exactly as before — same trace through the embedded
-// Result, no multi-flow or transfer fields populated.
+// TestSingleFlowResultShape: single-flow runs fill only the embedded
+// Result — no multi-flow or transfer fields populated.
 func TestSingleFlowResultShape(t *testing.T) {
 	res := Sim(WithLoss(0.02), WithSeed(7), WithDuration(50))
-	legacy := Simulate(SimConfig{LossRate: 0.02, Seed: 7, Duration: 50})
-	if fmt.Sprintf("%v", res.Trace) != fmt.Sprintf("%v", legacy.Trace) {
-		t.Fatal("Sim and Simulate traces differ for the same config")
+	if len(res.Trace) == 0 {
+		t.Fatal("single-flow run has an empty trace")
 	}
 	if res.Flows != nil || res.FlowResults != nil {
 		t.Errorf("single-flow run populated Flows/FlowResults")
@@ -162,5 +148,21 @@ func TestWithFlowCountSharedBottleneck(t *testing.T) {
 	// The embedded Result mirrors flow 0 for drop-in consumers.
 	if res.Stats != res.FlowResults[0].Result.Stats {
 		t.Errorf("embedded Result is not flow 0's")
+	}
+}
+
+// TestUnknownVariantReportsReno: a flow naming an unknown variant runs
+// Reno, and its result reports the variant that ran, not the name asked
+// for.
+func TestUnknownVariantReportsReno(t *testing.T) {
+	run := func(variant string) SimResult {
+		return Sim(WithFlows(Flow{Variant: variant, LossRate: 0.02}), WithDuration(60), WithSeed(5))
+	}
+	vegas, reno := run("vegas"), run("reno")
+	if got := vegas.FlowResults[0].Variant; got != "reno" {
+		t.Errorf("FlowResult.Variant = %q, want %q", got, "reno")
+	}
+	if len(vegas.Trace) != len(reno.Trace) || vegas.Stats != reno.Stats {
+		t.Errorf("unknown variant did not run Reno: stats %+v vs %+v", vegas.Stats, reno.Stats)
 	}
 }

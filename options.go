@@ -42,24 +42,24 @@ func NewFlightRecorder(k int) *FlightRecorder { return sim.NewFlightRecorder(k) 
 // SimOption configures one simulated transfer; pass options to Sim. The
 // zero configuration is a 100-second saturated Reno transfer over a
 // lossless 0.1 s-RTT path.
-type SimOption func(*SimConfig)
+type SimOption func(*simConfig)
 
 // WithPath sets the path's two-way propagation delay (RTT) in seconds.
 func WithPath(rtt float64) SimOption {
-	return func(c *SimConfig) { c.RTT = rtt }
+	return func(c *simConfig) { c.flow.RTT = rtt }
 }
 
 // WithLoss sets a Bernoulli (i.i.d.) packet loss probability on the data
 // direction.
 func WithLoss(rate float64) SimOption {
-	return func(c *SimConfig) { c.LossRate = rate; c.BurstDur = 0 }
+	return func(c *simConfig) { c.flow.LossRate = rate; c.flow.BurstDur = 0 }
 }
 
 // WithBurstLoss sets a timed-outage loss process: each data packet starts
 // a dur-second outage with probability rate, correlating losses the way
 // the paper's bursty paths did.
 func WithBurstLoss(rate, dur float64) SimOption {
-	return func(c *SimConfig) { c.LossRate = rate; c.BurstDur = dur }
+	return func(c *simConfig) { c.flow.LossRate = rate; c.flow.BurstDur = dur }
 }
 
 // WithScenario schedules time-varying path conditions and fault
@@ -68,48 +68,50 @@ func WithBurstLoss(rate, dur float64) SimOption {
 // fixed seed. The scenario's base state is the path configured by the
 // other options.
 func WithScenario(sc *Scenario) SimOption {
-	return func(c *SimConfig) { c.Scenario = sc }
+	return func(c *simConfig) { c.scenario = sc }
 }
 
 // WithSeed fixes the run's random streams, making it reproducible.
 func WithSeed(seed uint64) SimOption {
-	return func(c *SimConfig) { c.Seed = seed }
+	return func(c *simConfig) { c.seed = seed }
 }
 
 // WithDuration sets the transfer length in simulated seconds.
 func WithDuration(seconds float64) SimOption {
-	return func(c *SimConfig) { c.Duration = seconds }
+	return func(c *simConfig) { c.duration = seconds }
 }
 
 // WithOS selects the sender's TCP flavor by the paper's Table I naming:
-// "reno" (default), "tahoe", "linux", "irix" or "newreno".
+// "reno" (default), "tahoe", "linux", "irix" or "newreno". Any other
+// name runs Reno, except "tfrc", which runs a TFRC flow as in WithFlows
+// (its result carries no sender trace).
 func WithOS(variant string) SimOption {
-	return func(c *SimConfig) { c.Variant = variant }
+	return func(c *simConfig) { c.flow.Variant = variant }
 }
 
 // WithWindow sets the receiver's advertised window Wm in packets
 // (default 64).
 func WithWindow(wm int) SimOption {
-	return func(c *SimConfig) { c.Wm = wm }
+	return func(c *simConfig) { c.flow.Wm = wm }
 }
 
 // WithMinRTO floors the retransmission timeout in seconds, shaping the
 // trace's T0 (default 1 s).
 func WithMinRTO(seconds float64) SimOption {
-	return func(c *SimConfig) { c.MinRTO = seconds }
+	return func(c *simConfig) { c.flow.MinRTO = seconds }
 }
 
 // WithDelayedACKs sets the receiver's ACK ratio b (default 2, the
 // paper's delayed-ACK assumption; 1 = ACK every packet).
 func WithDelayedACKs(b int) SimOption {
-	return func(c *SimConfig) { c.AckEvery = b }
+	return func(c *simConfig) { c.flow.AckEvery = b }
 }
 
 // WithPhaseStats directs the per-phase attribution of a scenario run
 // (packets offered/dropped/delivered per scenario segment) into dst
 // after the run completes. Without a scenario, dst is left untouched.
 func WithPhaseStats(dst *[]PhaseStat) SimOption {
-	return func(c *SimConfig) { c.phaseStats = dst }
+	return func(c *simConfig) { c.phaseStats = dst }
 }
 
 // WithFlightRecorder attaches a flight recorder to the run's engine:
@@ -118,7 +120,7 @@ func WithPhaseStats(dst *[]PhaseStat) SimOption {
 // invariant. Recording writes into preallocated ring slots, so the
 // engine hot path stays allocation-free.
 func WithFlightRecorder(f *FlightRecorder) SimOption {
-	return func(c *SimConfig) { c.flight = f }
+	return func(c *simConfig) { c.flight = f }
 }
 
 // WithObs instruments the run with metric collection on reg: the engine
@@ -130,7 +132,7 @@ func WithFlightRecorder(f *FlightRecorder) SimOption {
 // draw no randomness, so a run with and without a registry produces
 // byte-identical traces. A nil registry disables collection.
 func WithObs(reg *Registry) SimOption {
-	return func(c *SimConfig) { c.registry = reg }
+	return func(c *simConfig) { c.registry = reg }
 }
 
 // WithLinkStats directs both directions' final link counters into dst
@@ -138,7 +140,7 @@ func WithObs(reg *Registry) SimOption {
 // (offered = delivered + drops + still-in-flight) that invariant
 // checkers reconcile against the sender's trace and the obs counters.
 func WithLinkStats(dst *PathStats) SimOption {
-	return func(c *SimConfig) { c.linkStats = dst }
+	return func(c *simConfig) { c.linkStats = dst }
 }
 
 // WithFlows runs the given flows concurrently on one simulation engine
@@ -160,7 +162,7 @@ func WithLinkStats(dst *PathStats) SimOption {
 // Scenario, observability and flight-recorder options apply only to
 // single-flow runs and are ignored in multi-flow mode.
 func WithFlows(flows ...Flow) SimOption {
-	return func(c *SimConfig) { c.flows = flows }
+	return func(c *simConfig) { c.flows = flows }
 }
 
 // WithFlowCount replicates the single-flow knobs (WithPath, WithLoss,
@@ -169,7 +171,7 @@ func WithFlows(flows ...Flow) SimOption {
 // supplies explicit specs. Per-flow random streams are forked from the
 // run seed by flow index.
 func WithFlowCount(n int) SimOption {
-	return func(c *SimConfig) { c.flowCount = n }
+	return func(c *simConfig) { c.flowCount = n }
 }
 
 // WithBottleneck routes every flow of a multi-flow run through one
@@ -177,16 +179,16 @@ func WithFlowCount(n int) SimOption {
 // common queue rather than each flow's private loss process. A
 // non-positive Rate (the zero value) keeps the flows on disjoint paths.
 func WithBottleneck(b Bottleneck) SimOption {
-	return func(c *SimConfig) { c.bottleneck = b }
+	return func(c *simConfig) { c.bottleneck = b }
 }
 
 // WithTransfer makes the run a finite n-packet transfer: the simulation
 // stops when the last packet is delivered or at deadline, whichever
 // comes first, and the result's TransferTime / TransferComplete fields
 // report the outcome — the short-flow counterpart of the default
-// saturated run. Replaces the deprecated SimulateTransfer.
+// saturated run. Multi-flow runs ignore it.
 func WithTransfer(n int, deadline float64) SimOption {
-	return func(c *SimConfig) {
+	return func(c *simConfig) {
 		c.totalPackets = uint64(n)
 		c.transferDeadline = deadline
 	}

@@ -28,9 +28,9 @@
 //
 // # The validation stack
 //
-// Simulate runs a packet-level TCP Reno bulk transfer over an emulated
-// lossy path and returns both the measured rates and the sender-side
-// event trace; Analyze runs the paper's trace-analysis methodology
+// Sim runs a packet-level TCP bulk transfer over an emulated lossy path
+// and returns both the measured rates and the sender-side event trace;
+// Analyze runs the paper's trace-analysis methodology
 // (loss-indication classification, Karn RTT filtering, 100-second
 // intervals) over any trace. The cmd/experiments binary regenerates
 // Table I, Table II and Figs. 7-13.
@@ -40,7 +40,6 @@ import (
 	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/multiflow"
-	"pftk/internal/netem"
 	"pftk/internal/obs"
 	"pftk/internal/reno"
 	"pftk/internal/scenario"
@@ -194,153 +193,34 @@ func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data)
 // ParseScenarioFile reads and parses the scenario document at path.
 func ParseScenarioFile(path string) (*Scenario, error) { return scenario.ParseFile(path) }
 
-// SimConfig describes a simulated bulk-transfer experiment at the level a
-// model user thinks in; Sim and Simulate map it onto the packet-level TCP
-// Reno implementation and the path emulator.
-type SimConfig struct {
-	// RTT is the two-way propagation delay of the path in seconds.
-	RTT float64
-	// LossRate is the probability that a packet starts a loss burst.
-	LossRate float64
-	// BurstDur is the loss-outage duration in seconds (0 = isolated
-	// single-packet losses).
-	BurstDur float64
-	// Wm is the receiver's advertised window in packets (default 64).
-	Wm int
-	// MinRTO floors the retransmission timeout, shaping T0 (default
-	// 1 s).
-	MinRTO float64
-	// Duration is the transfer length in simulated seconds (default
-	// 100).
-	Duration float64
-	// Seed makes the run reproducible.
-	Seed uint64
-	// Variant selects the sender's TCP flavor: "reno" (default),
-	// "tahoe", "linux", "irix" or "newreno".
-	Variant string
-	// AckEvery is the receiver's delayed-ACK ratio b (default 2).
-	AckEvery int
-	// Scenario, when set, schedules time-varying path conditions and
-	// fault injection over the run (see WithScenario).
-	Scenario *Scenario
-
-	// phaseStats, when set via WithPhaseStats, receives the per-phase
-	// attribution after a scenario run.
+// simConfig collects Sim's options; its zero value is the default run.
+type simConfig struct {
+	// flow holds the single-flow knobs (WithPath, WithLoss, WithOS,
+	// WithWindow, ...); WithFlowCount replicates it.
+	flow     Flow
+	duration float64
+	seed     uint64
+	scenario *Scenario
+	// phaseStats, linkStats, registry and flight are the single-flow
+	// sinks of WithPhaseStats, WithLinkStats, WithObs and
+	// WithFlightRecorder.
 	phaseStats *[]PhaseStat
-	// flight, when set via WithFlightRecorder, is attached to the run's
-	// engine so the last schedule/fire/cancel/drop operations are
-	// retained for a post-mortem dump.
-	flight *FlightRecorder
-	// registry, when set via WithObs, instruments the engine, both link
-	// directions, the sender and (when present) the scenario runner.
-	registry *obs.Registry
-	// linkStats, when set via WithLinkStats, receives both directions'
-	// final link counters after the run.
-	linkStats *PathStats
-	// totalPackets, when positive, makes the transfer finite
-	// (WithTransfer, SimulateTransfer).
-	totalPackets uint64
-	// transferDeadline, when positive, selects the finite-transfer
-	// execution path: run until totalPackets complete or the deadline
-	// passes (WithTransfer).
+	linkStats  *PathStats
+	registry   *obs.Registry
+	flight     *FlightRecorder
+	// totalPackets and transferDeadline make a single-flow run finite
+	// (WithTransfer); a positive deadline selects the run-until-complete
+	// loop.
+	totalPackets     uint64
 	transferDeadline float64
-	// flows, when non-empty, selects the multi-flow execution path
-	// (WithFlows).
-	flows []Flow
-	// flowCount, when positive and flows is empty, replicates the
-	// single-flow knobs into that many identical flows (WithFlowCount).
-	flowCount int
-	// bottleneck, when its Rate is positive, routes all flows through
-	// one shared link; otherwise each flow gets a private path
-	// (WithBottleneck).
+	// flows, or a positive flowCount, select a multi-flow run
+	// (WithFlows, WithFlowCount) over bottleneck (WithBottleneck).
+	flows      []Flow
+	flowCount  int
 	bottleneck Bottleneck
 }
 
-func (c SimConfig) variant() reno.Variant {
-	switch c.Variant {
-	case "tahoe":
-		return reno.Tahoe
-	case "linux":
-		return reno.Linux
-	case "irix":
-		return reno.Irix
-	case "newreno":
-		return reno.NewReno
-	default:
-		return reno.Reno
-	}
-}
-
-// buildConn assembles the engine, connection and (when a scenario is
-// configured) the bound scenario runner for one simulated transfer.
-// horizon bounds the expansion of unbounded periodic faults. When no
-// scenario is configured, the construction — including the RNG fork
-// sequence — is identical to the pre-scenario releases, so legacy
-// configs reproduce their traces byte for byte.
-func buildConn(c *SimConfig, horizon float64) (*reno.Connection, *scenario.Runner) {
-	if c.RTT <= 0 {
-		c.RTT = 0.1
-	}
-	rng := sim.NewRNG(c.Seed)
-	var loss netem.LossModel
-	switch {
-	case c.LossRate <= 0:
-		loss = nil
-	case c.BurstDur > 0:
-		loss = netem.NewTimedBurst(c.LossRate, c.BurstDur, rng.Fork("loss"))
-	default:
-		loss = netem.NewBernoulli(c.LossRate, rng.Fork("loss"))
-	}
-	cfg := reno.ConnConfig{
-		Sender: reno.SenderConfig{
-			Variant:      c.variant(),
-			RWnd:         c.Wm,
-			MinRTO:       c.MinRTO,
-			TotalPackets: c.totalPackets,
-		},
-		Receiver: reno.ReceiverConfig{AckEvery: c.AckEvery},
-		Path:     netem.SymmetricPath(c.RTT/2, loss),
-	}
-	eng := new(sim.Engine)
-	eng.SetFlightRecorder(c.flight)
-	if c.registry != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(c.registry)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(c.registry, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(c.registry, "netem.rev")
-		eng.SetHooks(engineHooks(c.registry))
-	}
-	conn := reno.NewConnection(eng, cfg)
-	var runner *scenario.Runner
-	if c.Scenario != nil {
-		runner = scenario.Bind(eng, conn.Path, scenario.Config{
-			Scenario: c.Scenario,
-			RNG:      rng.Fork("scenario"),
-			Base:     scenario.Base{RTT: c.RTT, Loss: loss},
-			Horizon:  horizon,
-			Registry: c.registry,
-		})
-	}
-	return conn, runner
-}
-
-// engineHooks is the standard engine instrumentation for WithObs: events
-// fired, queue-depth high-water mark and cancels, all into preallocated
-// handles so the hooks never allocate on the hot path.
-func engineHooks(reg *obs.Registry) sim.Hooks {
-	events := reg.Counter("sim.events")
-	depth := reg.Gauge("sim.queue.depth")
-	cancels := reg.Counter("sim.cancels")
-	return sim.Hooks{
-		EventFired: func(_ float64, pending int) {
-			events.Inc()
-			depth.Set(float64(pending))
-		},
-		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
-		Cancelled: func() { cancels.Inc() },
-	}
-}
-
-// Sim runs a saturated TCP bulk transfer over an emulated — optionally
+// Sim runs a TCP bulk transfer over an emulated — optionally
 // time-varying — path and returns the measured result, including the
 // sender-side trace:
 //
@@ -351,108 +231,90 @@ func engineHooks(reg *obs.Registry) sim.Hooks {
 //		pftk.WithSeed(42),
 //	)
 //
-// Defaults: 0.1 s RTT, lossless path, 100 s duration, Reno sender with a
-// 64-packet window, delayed ACKs (b = 2).
+// Defaults: 0.1 s RTT, lossless path, 100 s saturated transfer, Reno
+// sender with a 64-packet window, delayed ACKs (b = 2).
 func Sim(opts ...SimOption) SimResult {
-	var c SimConfig
+	var c simConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	return runSim(c)
+	return run(c)
 }
 
-// runSim is the single execution path behind Sim and Simulate. It is
-// annotated deterministic: for a fixed config (including the seed) it
-// must produce byte-identical traces — the contract the golden tests and
-// serial==parallel campaign identity rest on — so the determinism
-// analyzer checks it like the simulation packages themselves.
+// run is the one execution path behind Sim. Every run is a list of
+// flows wired by multiflow.New on one engine: a single-flow run is one
+// flow on a private path, WithFlowCount replicates that flow and
+// WithFlows supplies the list. Scenario, sinks and finite transfers
+// apply to single-flow runs only. run is annotated deterministic: for a
+// fixed config (including the seed) it must produce byte-identical
+// traces — the contract the golden tests and serial==parallel campaign
+// identity rest on — so the determinism analyzer checks it like the
+// simulation packages themselves.
 //
 //pftk:deterministic
-func runSim(c SimConfig) SimResult {
-	if c.Duration <= 0 {
-		c.Duration = 100
-	}
+func run(c simConfig) SimResult {
+	var eng sim.Engine
+	cfg := multiflow.Config{Flows: c.flows, Duration: c.duration, Seed: c.seed}
 	if len(c.flows) > 0 || c.flowCount > 0 {
-		return runMultiSim(c)
+		if len(cfg.Flows) == 0 {
+			cfg.Flows = multiflow.SymmetricFlows(c.flowCount, c.flow)
+		}
+		cfg.Bottleneck = c.bottleneck
+		m := multiflow.New(&eng, cfg)
+		m.Start()
+		eng.RunUntil(m.Duration())
+		mres := m.Finish()
+		out := SimResult{Result: mres.Flows[0].Result, FlowResults: mres.Flows, Fairness: mres.Fairness}
+		for _, fr := range mres.Flows {
+			out.Flows = append(out.Flows, Analyze(fr.Result.Trace))
+		}
+		return out
 	}
-	if c.transferDeadline > 0 {
-		return runTransferSim(c)
+
+	spec := c.flow
+	// WithSeed(0) seeds the flow's streams with sim.NewRNG(0); a zero
+	// spec seed would instead derive one from the run seed.
+	spec.Seed = c.seed
+	if spec.Seed == 0 {
+		spec.Seed = sim.ZeroSeed
 	}
-	conn, runner := buildConn(&c, c.Duration)
-	res := conn.Run(c.Duration)
+	cfg.Flows = []Flow{spec}
+	cfg.TotalPackets = c.totalPackets
+	cfg.Registry = c.registry
+	eng.SetFlightRecorder(c.flight)
+	m := multiflow.New(&eng, cfg)
+	finite := c.transferDeadline > 0
+	horizon := m.Duration()
+	if finite {
+		horizon = c.transferDeadline
+	}
+	var runner *scenario.Runner
+	if c.scenario != nil {
+		runner = m.BindScenario(0, c.scenario, horizon)
+	}
+	m.Start()
+	var out SimResult
+	if finite {
+		out.TransferTime = horizon
+		for eng.Now() < horizon && eng.Step() {
+			if m.Complete() {
+				out.TransferTime = eng.Now()
+				break
+			}
+		}
+		out.TransferComplete = out.TransferTime < horizon
+	} else {
+		eng.RunUntil(horizon)
+	}
+	out.Result = m.Stop(0)
 	if runner != nil && c.phaseStats != nil {
 		*c.phaseStats = runner.Finish()
 	}
 	if c.linkStats != nil {
-		*c.linkStats = PathStats{
-			Forward: conn.Path.Forward.Stats(),
-			Reverse: conn.Path.Reverse.Stats(),
-		}
-	}
-	return SimResult{Result: res}
-}
-
-// runTransferSim is the finite-transfer execution path (WithTransfer):
-// the same construction as SimulateTransfer always used, so the
-// deprecated wrapper reproduces its traces byte for byte.
-func runTransferSim(c SimConfig) SimResult {
-	deadline := c.transferDeadline
-	conn, _ := buildConn(&c, deadline)
-	res, done := conn.RunUntilComplete(deadline)
-	out := SimResult{Result: res, TransferTime: done}
-	out.TransferComplete = done < deadline
-	if c.linkStats != nil {
-		*c.linkStats = PathStats{
-			Forward: conn.Path.Forward.Stats(),
-			Reverse: conn.Path.Reverse.Stats(),
-		}
+		path := m.Path(0)
+		*c.linkStats = PathStats{Forward: path.Forward.Stats(), Reverse: path.Reverse.Stats()}
 	}
 	return out
-}
-
-// runMultiSim is the multi-flow execution path (WithFlows,
-// WithFlowCount): N flows on one engine, through a shared bottleneck
-// when one is configured and over disjoint private paths otherwise.
-// Scenario, observability and flight-recorder options apply only to
-// single-flow runs and are ignored here.
-func runMultiSim(c SimConfig) SimResult {
-	flows := c.flows
-	if len(flows) == 0 {
-		flows = multiflow.SymmetricFlows(c.flowCount, Flow{
-			Variant:  c.Variant,
-			RTT:      c.RTT,
-			LossRate: c.LossRate,
-			BurstDur: c.BurstDur,
-			Wm:       c.Wm,
-			MinRTO:   c.MinRTO,
-			AckEvery: c.AckEvery,
-		})
-	}
-	mres := multiflow.Run(multiflow.Config{
-		Flows:      flows,
-		Bottleneck: c.bottleneck,
-		Duration:   c.Duration,
-		Seed:       c.Seed,
-	})
-	out := SimResult{Fairness: mres.Fairness}
-	for _, fr := range mres.Flows {
-		out.FlowResults = append(out.FlowResults, fr)
-		out.Flows = append(out.Flows, Analyze(fr.Result.Trace))
-	}
-	if len(mres.Flows) > 0 {
-		out.Result = mres.Flows[0].Result
-	}
-	return out
-}
-
-// Simulate runs a saturated TCP Reno bulk transfer over an emulated path
-// and returns the measured result, including the sender-side trace.
-//
-// Deprecated: use Sim with functional options; Simulate delegates to the
-// same execution path and produces byte-identical traces, but new knobs
-// (scenarios, fault injection) are only exposed as options.
-func Simulate(c SimConfig) SimResult {
-	return runSim(c)
 }
 
 // Analyze runs the paper's trace-analysis programs over a sender-side
@@ -502,17 +364,4 @@ func ShortFlowTime(n int, p float64, pr Params) float64 {
 // transfer, which approaches SendRate only for large n.
 func ShortFlowRate(n int, p float64, pr Params) float64 {
 	return core.ShortFlowRate(n, p, pr)
-}
-
-// SimulateTransfer runs a finite n-packet transfer with the given
-// simulation config and returns its completion time in seconds (or the
-// deadline if it never completes).
-//
-// Deprecated: use Sim with WithTransfer(n, deadline) and read
-// TransferTime from the result; SimulateTransfer delegates to the same
-// execution path and produces byte-identical traces.
-func SimulateTransfer(c SimConfig, n int, deadline float64) float64 {
-	c.totalPackets = uint64(n)
-	c.transferDeadline = deadline
-	return runSim(c).TransferTime
 }

@@ -293,7 +293,7 @@ scenario-golden:
 	rm -f /tmp/outage-golden.pftk
 
 # Umbrella gate: everything CI runs.
-check: build vet fmtcheck lint test race invariants examples obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-serve-json-smoke
+check: build vet fmtcheck lint test race invariants examples obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-json-smoke bench-serve-json-smoke
 
 clean:
 	rm -rf results obs-smoke-out serve-smoke-out serve-scale-out trace-smoke-out bench-serve-out chaos-smoke-out

@@ -27,8 +27,6 @@ type Config struct {
 	// case dozens of times, so an invariant bug that fails every case
 	// must not turn the campaign into a quadratic stall.
 	MaxRepros int
-	// ShrinkBudget caps case executions per shrink (0 = default).
-	ShrinkBudget int
 	// Hook, when set, runs after every case's invariant checks with the
 	// case and its outcome; it may append violations. Tests use it to
 	// prove the shrink-and-corpus pipeline end to end with an
@@ -179,7 +177,7 @@ func shrinkAndPersist(rep *Report, cases []Case, env Envelope, cfg Config) error
 			rep.Repros = append(rep.Repros, path)
 			continue
 		}
-		min := Shrink(cases[i], v.Invariant, env, cfg.Hook, cfg.ShrinkBudget)
+		min := Shrink(cases[i], v.Invariant, env, cfg.Hook, defaultShrinkBudget)
 		minOut := evaluate(min, nil, env, cfg.Hook)
 		detail := v.Detail
 		if d := findViolation(minOut, v.Invariant); d != "" {

@@ -67,8 +67,6 @@ type FeedConfig struct {
 	Cases int
 	// Timeout bounds each job's submit-to-terminal wait (0 = 30 s).
 	Timeout time.Duration
-	// Client is the HTTP client (nil = http.DefaultClient).
-	Client *http.Client
 }
 
 // FeedReport summarizes one HTTP campaign.
@@ -109,10 +107,6 @@ func Feed(cfg FeedConfig) (*FeedReport, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	rep := &FeedReport{}
 	for i := 0; i < cfg.Cases; i++ {
 		c, err := chaos.Generate(sp, cfg.Seed, i)
@@ -132,13 +126,13 @@ func Feed(cfg FeedConfig) (*FeedReport, error) {
 		}
 
 		rep.Submitted++
-		job, status, err := submit(client, cfg.URL, req, fmt.Sprintf("chaos-%d", i))
+		job, status, err := submit(http.DefaultClient, cfg.URL, req, fmt.Sprintf("chaos-%d", i))
 		if err != nil {
 			return rep, fmt.Errorf("case %d: %w", i, err)
 		}
 		switch status {
 		case http.StatusAccepted:
-			job, err = waitTerminal(client, cfg.URL, job.ID, timeout)
+			job, err = waitTerminal(http.DefaultClient, cfg.URL, job.ID, timeout)
 			if err != nil {
 				return rep, fmt.Errorf("case %d: %w", i, err)
 			}
@@ -166,7 +160,7 @@ func Feed(cfg FeedConfig) (*FeedReport, error) {
 		}
 
 		// Resubmission must be an exact cache replay.
-		again, status, err := submit(client, cfg.URL, req, fmt.Sprintf("chaos-%d-replay", i))
+		again, status, err := submit(http.DefaultClient, cfg.URL, req, fmt.Sprintf("chaos-%d-replay", i))
 		if err != nil {
 			return rep, fmt.Errorf("case %d replay: %w", i, err)
 		}

@@ -20,9 +20,6 @@ const defaultShrinkBudget = 150
 // every evaluation is itself deterministic, so a shrink is as
 // replayable as the campaign that triggered it.
 func Shrink(c Case, invariant string, env Envelope, hook func(Case, *Outcome), budget int) Case {
-	if budget <= 0 {
-		budget = defaultShrinkBudget
-	}
 	fails := func(cand Case) bool {
 		if budget <= 0 {
 			return false

@@ -300,7 +300,7 @@ func TestRunAllShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness")
 	}
-	reports := RunAll(quickOpts())
+	reports := RunAllTimed(quickOpts(), nil)
 	if len(reports) != 17 {
 		t.Fatalf("reports = %d, want 17 (10 paper artifacts + 7 extension studies)", len(reports))
 	}

@@ -27,9 +27,9 @@ func Fairness(o Options) *Report {
 		nTCP = 3
 	)
 
-	runOne := func(name string, mkLink func(eng *sim.Engine) (reno.DataPath, tfrc.Link, func() netem.LinkStats)) {
+	runOne := func(name string, mkLink func(eng *sim.Engine) (reno.DataPath, tfrc.Link)) {
 		var eng sim.Engine
-		fwd, tfrcFwd, statsFn := mkLink(&eng)
+		fwd, tfrcFwd := mkLink(&eng)
 		var tcps []*reno.Sender
 		for i := 0; i < nTCP; i++ {
 			rev := netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.04)})
@@ -67,16 +67,15 @@ func Fairness(o Options) *Report {
 			fmt.Sprintf("%.4f", pTCP),
 			fmt.Sprintf("%.2f", util),
 		)
-		_ = statsFn
 	}
 
-	runOne("drop-tail", func(eng *sim.Engine) (reno.DataPath, tfrc.Link, func() netem.LinkStats) {
+	runOne("drop-tail", func(eng *sim.Engine) (reno.DataPath, tfrc.Link) {
 		l := netem.NewLink(eng, netem.LinkConfig{Rate: rate, QueueCap: 25, Delay: netem.ConstantDelay(0.04)})
-		return l, l, l.Stats
+		return l, l
 	})
-	runOne("RED", func(eng *sim.Engine) (reno.DataPath, tfrc.Link, func() netem.LinkStats) {
+	runOne("RED", func(eng *sim.Engine) (reno.DataPath, tfrc.Link) {
 		l := netem.NewREDLink(eng, netem.LinkConfig{Rate: rate, QueueCap: 25, Delay: netem.ConstantDelay(0.04)}, sim.NewRNG(o.Salt+99))
-		return l, l, l.Link.Stats
+		return l, l
 	})
 
 	r.Tables = append(r.Tables, t)

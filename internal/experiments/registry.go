@@ -52,16 +52,11 @@ func Get(id string) (Runner, error) {
 	return r, nil
 }
 
-// RunAll regenerates every artifact. The 1-hour and 100-second campaigns
-// are executed once and shared between the experiments that consume them
-// (Table II + Fig. 9, and Fig. 8 + Fig. 10).
-func RunAll(o Options) []*Report {
-	return RunAllTimed(o, nil)
-}
-
-// RunAllTimed is RunAll with a per-artifact completion callback: onDone
-// (when non-nil) receives each finished report and its wall-clock cost.
-// The campaign tools use it to stamp run manifests.
+// RunAllTimed regenerates every artifact. The 1-hour and 100-second
+// campaigns are executed once and shared between the experiments that
+// consume them (Table II + Fig. 9, and Fig. 8 + Fig. 10). onDone (when
+// non-nil) receives each finished report and its wall-clock cost; the
+// campaign tools use it to stamp run manifests.
 func RunAllTimed(o Options, onDone func(r *Report, wallSeconds float64)) []*Report {
 	o = o.normalize()
 	start := time.Now()

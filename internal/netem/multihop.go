@@ -24,9 +24,6 @@ func NewMultiHop(eng *sim.Engine, hops ...LinkConfig) *MultiHop {
 	return m
 }
 
-// Hop exposes hop i for stats inspection.
-func (m *MultiHop) Hop(i int) *Link { return m.hops[i] }
-
 // NumHops returns the number of hops.
 func (m *MultiHop) NumHops() int { return len(m.hops) }
 

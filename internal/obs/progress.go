@@ -61,14 +61,6 @@ func (p *Progress) Step(unit string) {
 	_, _ = fmt.Fprintf(p.w, "\r%-79s", line)
 }
 
-// Stepf is Step with a formatted unit description.
-func (p *Progress) Stepf(format string, args ...any) {
-	if p == nil {
-		return
-	}
-	p.Step(fmt.Sprintf(format, args...))
-}
-
 // Done terminates the status line with a completion summary. Further
 // Steps start a fresh line.
 func (p *Progress) Done() {

@@ -53,7 +53,6 @@ type Receiver struct {
 
 	received   int // total packets observed, including duplicates
 	duplicates int // packets at or below rcvNext seen again
-	acksSent   int
 }
 
 // NewReceiver builds a receiver that sends its ACKs over reverse and
@@ -86,13 +85,9 @@ func (r *Receiver) Received() int { return r.received }
 // Duplicates returns the number of arrivals the receiver had already seen.
 func (r *Receiver) Duplicates() int { return r.duplicates }
 
-// AcksSent returns the number of ACK packets emitted.
-func (r *Receiver) AcksSent() int { return r.acksSent }
-
 // OnPacket handles one arriving data packet. Pass it as the forward link's
-// delivery callback. Packets of other kinds (cross traffic, other
-// protocols sharing the link) are ignored, as are data packets stamped
-// with another flow's ID.
+// delivery callback. Packets of other kinds (other protocols sharing the
+// link) are ignored, as are data packets stamped with another flow's ID.
 //
 //pftk:hotpath
 func (r *Receiver) OnPacket(p pkt.Packet) {
@@ -137,6 +132,5 @@ func (r *Receiver) OnPacket(p pkt.Packet) {
 func (r *Receiver) sendAck() {
 	r.delTimer.Stop()
 	r.pending = 0
-	r.acksSent++
 	r.reverse.Send(pkt.Packet{Seq: r.rcvNext, Kind: pkt.Ack, Flow: r.cfg.FlowID}, r.toSender)
 }

@@ -396,12 +396,34 @@ func TestReceiverCountsDuplicates(t *testing.T) {
 	}
 }
 
-func TestReceiverIgnoresCrossTraffic(t *testing.T) {
-	var eng sim.Engine
-	rcv := NewReceiver(&eng, netem.NewLink(&eng, netem.LinkConfig{}), func(pkt.Packet) {}, ReceiverConfig{})
-	rcv.OnPacket(pkt.Packet{Kind: pkt.Cross}) // non-data payload
-	if rcv.Received() != 0 {
-		t.Error("cross traffic should not count as received data")
+func TestReceiverIgnoresForeignKinds(t *testing.T) {
+	// A link shared with TFRC or carrying this flow's own ACKs hands the
+	// receiver packets it does not own; it must neither count nor ACK
+	// them. The Data row is the control: the same packet as a data
+	// segment is counted and ACKed.
+	for _, tc := range []struct {
+		kind      pkt.Kind
+		wantRecvd int
+		wantAcks  int
+	}{
+		{pkt.Ack, 0, 0},
+		{pkt.RateData, 0, 0},
+		{pkt.Feedback, 0, 0},
+		{pkt.Data, 1, 1},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			var eng sim.Engine
+			acks := 0
+			rcv := NewReceiver(&eng, netem.NewLink(&eng, netem.LinkConfig{}), func(pkt.Packet) { acks++ }, ReceiverConfig{AckEvery: 1})
+			rcv.OnPacket(pkt.Packet{Kind: tc.kind, Seq: 1})
+			eng.Run()
+			if rcv.Received() != tc.wantRecvd {
+				t.Errorf("received = %d, want %d", rcv.Received(), tc.wantRecvd)
+			}
+			if acks != tc.wantAcks {
+				t.Errorf("ACKs delivered = %d, want %d", acks, tc.wantAcks)
+			}
+		})
 	}
 }
 

@@ -193,9 +193,6 @@ func (s *Sender) Trace() trace.Trace { return s.trace.Records() }
 // Cwnd returns the current congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
-// Ssthresh returns the current slow-start threshold in packets.
-func (s *Sender) Ssthresh() float64 { return s.ssthresh }
-
 // InFlight returns the number of packets between the cumulative
 // acknowledgment point and the send cursor.
 func (s *Sender) InFlight() int { return int(s.sndNxt - s.una) }

@@ -20,8 +20,8 @@ type Timer struct {
 }
 
 // NewTimer returns a stopped timer that will run fn each time an armed
-// deadline expires. The one callback allocation happens here; Reset,
-// ResetAt and Stop are allocation-free thereafter.
+// deadline expires. The one callback allocation happens here; Reset and
+// Stop are allocation-free thereafter.
 func (e *Engine) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil timer callback")
@@ -35,15 +35,6 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 func (t *Timer) Reset(d float64) bool {
 	cancelled := t.eng.Cancel(t.ev)
 	t.ev = t.eng.After(d, t.fn)
-	return cancelled
-}
-
-// ResetAt (re)arms the timer to fire at absolute time at, cancelling any
-// pending deadline first. It reports whether a pending deadline was
-// cancelled.
-func (t *Timer) ResetAt(at float64) bool {
-	cancelled := t.eng.Cancel(t.ev)
-	t.ev = t.eng.Schedule(at, t.fn)
 	return cancelled
 }
 

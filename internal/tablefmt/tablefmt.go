@@ -39,24 +39,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each value with %v, floats with %g.
-func (t *Table) AddRowf(values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%g", x)
-		case float32:
-			cells[i] = fmt.Sprintf("%g", x)
-		case string:
-			cells[i] = x
-		default:
-			cells[i] = fmt.Sprintf("%v", x)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 // ASCII renders the table with aligned columns and a separator under the
 // header.
 func (t *Table) ASCII() string {

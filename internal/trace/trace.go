@@ -123,12 +123,6 @@ func (t Trace) Sorted() bool {
 	return sort.SliceIsSorted(t, func(i, j int) bool { return t[i].Time < t[j].Time })
 }
 
-// Sort orders the records by time, stably, preserving the relative order
-// of simultaneous records.
-func (t Trace) Sort() {
-	sort.SliceStable(t, func(i, j int) bool { return t[i].Time < t[j].Time })
-}
-
 // Filter returns the records for which keep returns true.
 func (t Trace) Filter(keep func(Record) bool) Trace {
 	var out Trace

@@ -83,22 +83,6 @@ func TestTraceHelpers(t *testing.T) {
 	}
 }
 
-func TestTraceSort(t *testing.T) {
-	tr := Trace{
-		{Time: 2, Kind: KindSend, Seq: 3},
-		{Time: 1, Kind: KindSend, Seq: 1},
-		{Time: 1, Kind: KindSend, Seq: 2},
-	}
-	tr.Sort()
-	if !tr.Sorted() {
-		t.Fatal("not sorted after Sort")
-	}
-	// stability: the two t=1 records keep their relative order
-	if tr[0].Seq != 1 || tr[1].Seq != 2 {
-		t.Errorf("Sort not stable: %v", tr)
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	bad := []Trace{
 		{{Time: 0, Kind: KindInvalid}},

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -165,12 +166,12 @@ func bucketOf(d float64) int {
 }
 
 // quantileSorted returns the nearest-rank quantile of an ascending
-// slice.
+// slice: the ceil(q·n)-th smallest value.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted)) + 0.5)
+	i := int(math.Ceil(q * float64(len(sorted))))
 	if i < 1 {
 		i = 1
 	}

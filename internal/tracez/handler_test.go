@@ -129,3 +129,26 @@ func TestViewJSONStable(t *testing.T) {
 		t.Fatalf("view round-trip mismatch: %+v", v)
 	}
 }
+
+func TestQuantileSortedNearestRank(t *testing.T) {
+	// Nearest rank is the ceil(q·n)-th smallest value; rounding q·n to
+	// the nearest integer instead understates the upper quantiles.
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		rank int
+	}{
+		{6, 0.9, 6},      // q·n = 5.4: the max, not the 5th value
+		{160, 0.99, 159}, // q·n = 158.4
+		{10, 0.9, 9},     // q·n is an exact integer
+		{1, 0.5, 1},
+	} {
+		sorted := make([]float64, tc.n)
+		for i := range sorted {
+			sorted[i] = float64(i + 1)
+		}
+		if got := quantileSorted(sorted, tc.q); got != float64(tc.rank) {
+			t.Errorf("quantileSorted(n=%d, q=%g) = value %g, want rank %d", tc.n, tc.q, got, tc.rank)
+		}
+	}
+}

@@ -148,10 +148,6 @@ func wallSeconds() float64 {
 	return float64(time.Now().UnixNano()) / 1e9
 }
 
-// SimClock reports whether the tracer runs on a caller-supplied
-// (deterministic) clock rather than wall time.
-func (t *Tracer) SimClock() bool { return t != nil && t.sim }
-
 // NowSeconds returns the tracer's current clock reading, or 0 on the
 // disabled tracer. Callers use it to timestamp work (queue submission)
 // that later becomes a span via StartRootAt/StartChildAt.

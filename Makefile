@@ -34,9 +34,11 @@ bench:
 # The multi-flow benchmarks simulate N flows per iteration, so they get
 # their own (smaller) fixed iteration counts; benchjson merges each run
 # into the same "current" label without dropping the earlier entries.
+# BenchmarkExtMultiflow is the whole N = 2..1000 scaling sweep (about
+# 0.3 s per iteration).
 BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$
-BENCH_JSON_MULTI_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$
-BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMultiFlow10,BenchmarkMultiFlow100
+BENCH_JSON_MULTI_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$|BenchmarkExtMultiflow$$
+BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMultiFlow10,BenchmarkMultiFlow100,BenchmarkExtMultiflow
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \
@@ -47,6 +49,9 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -o BENCH_sim.json -label current
 	$(GO) test -run '^$$' -bench 'BenchmarkMultiFlow100$$' -benchmem \
 		-benchtime 1000x -count 5 . \
+		| $(GO) run ./cmd/benchjson -o BENCH_sim.json -label current
+	$(GO) test -run '^$$' -bench 'BenchmarkExtMultiflow$$' -benchmem \
+		-benchtime 5x -count 5 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sim.json -label current
 
 # CI smoke: a 10-iteration pass proves the benchmark suite still runs,

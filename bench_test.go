@@ -291,6 +291,20 @@ func BenchmarkExtShortFlows(b *testing.B) {
 	}
 }
 
+// BenchmarkExtMultiflow reruns the N-flow shared-bottleneck scaling
+// sweep (N = 2 to 1000) on 20-s runs. Its B/op is what the sweep
+// allocates, the 1000-flow population's included.
+func BenchmarkExtMultiflow(b *testing.B) {
+	o := benchOpts()
+	o.ShortTraceDuration = 10
+	for i := 0; i < b.N; i++ {
+		r := experiments.Multiflow(o)
+		if r.Tables[0].NumRows() != 4 {
+			b.Fatal("rows")
+		}
+	}
+}
+
 // BenchmarkExtFairness reruns the shared-bottleneck fairness study and
 // reports the TFRC/TCP ratio under RED.
 func BenchmarkExtFairness(b *testing.B) {

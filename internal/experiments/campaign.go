@@ -93,7 +93,9 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// PairRun is one finished trace with its analysis products.
+// PairRun is one finished trace with its analysis products. RunPair and
+// RunPairObserved return the trace in Result.Trace; campaign runs drop
+// it once analyzed (see Campaign).
 type PairRun struct {
 	Pair      hosts.Pair
 	Result    reno.Result
@@ -177,7 +179,10 @@ func (o Options) record(experiment string, trace int, duration float64, pr PairR
 	})
 }
 
-// Campaign holds the full 1-hour-per-pair measurement campaign.
+// Campaign holds the full 1-hour-per-pair measurement campaign. Each
+// run keeps its stats, loss events, summary and intervals — all that
+// Table II and Fig. 9 read — but not its trace: Result.Trace is nil, so
+// a campaign holds no per-packet records once a trace is analyzed.
 type Campaign struct {
 	Opts Options
 	Runs []PairRun
@@ -217,7 +222,9 @@ func RunCampaign(o Options) *Campaign {
 	prog := obs.NewProgress(o.Progress, "hour campaign", len(pairs))
 	runs := o.runParallel(len(pairs), prog,
 		func(k int, reg *obs.Registry) PairRun {
-			return runPair(pairs[k], o.HourTraceDuration, o.Salt, o.IntervalWidth, reg)
+			pr := runPair(pairs[k], o.HourTraceDuration, o.Salt, o.IntervalWidth, reg)
+			pr.Result.Trace = nil // analyzed: the campaign keeps only the products
+			return pr
 		},
 		func(k int) string { return pairs[k].Name() })
 	// Export in pair order regardless of completion order, so a metrics
@@ -242,7 +249,8 @@ func (c *Campaign) Run(name string) (PairRun, bool) {
 }
 
 // ShortCampaign holds the Fig. 8 / Fig. 10 campaign: for each pair,
-// ShortTraces serial connections of ShortTraceDuration seconds.
+// ShortTraces serial connections of ShortTraceDuration seconds. As in
+// Campaign, every run's Result.Trace is nil.
 type ShortCampaign struct {
 	Opts  Options
 	Pairs []hosts.Pair
@@ -265,7 +273,9 @@ func RunShortCampaign(o Options) *ShortCampaign {
 		func(k int, reg *obs.Registry) PairRun {
 			i, j := k/o.ShortTraces, k%o.ShortTraces
 			// Each short trace is analyzed as a single interval.
-			return runPair(sc.Pairs[i], o.ShortTraceDuration, TraceSalt(o.Salt, i, j), o.ShortTraceDuration, reg)
+			pr := runPair(sc.Pairs[i], o.ShortTraceDuration, TraceSalt(o.Salt, i, j), o.ShortTraceDuration, reg)
+			pr.Result.Trace = nil // analyzed: the campaign keeps only the products
+			return pr
 		},
 		func(k int) string {
 			return fmt.Sprintf("%s #%d", sc.Pairs[k/o.ShortTraces].Name(), k%o.ShortTraces+1)

@@ -10,6 +10,12 @@ import (
 	"pftk/internal/tfrc"
 )
 
+// fairnessSenderConfig is each TCP flow of the fairness study. The
+// report reads only Stats, so the senders keep no trace.
+func fairnessSenderConfig() reno.SenderConfig {
+	return reno.SenderConfig{RWnd: 64, MinRTO: 0.5, Tick: 0.1, NoTrace: true}
+}
+
 // Fairness runs the study the paper's "TCP-friendly" motivation implies:
 // an equation-based (TFRC-style) flow shares one bottleneck with three
 // TCP Reno flows, once behind a drop-tail queue and once behind a RED
@@ -33,7 +39,7 @@ func Fairness(o Options) *Report {
 		var tcps []*reno.Sender
 		for i := 0; i < nTCP; i++ {
 			rev := netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.04)})
-			snd := reno.NewSender(&eng, fwd, reno.SenderConfig{RWnd: 64, MinRTO: 0.5, Tick: 0.1})
+			snd := reno.NewSender(&eng, fwd, fairnessSenderConfig())
 			rcv := reno.NewReceiver(&eng, rev, snd.OnAck, reno.ReceiverConfig{})
 			snd.SetDeliver(rcv.OnPacket)
 			tcps = append(tcps, snd)

@@ -18,6 +18,27 @@ var multiflowPopulations = []int{2, 10, 100, 1000}
 // every population competes for the same per-flow capacity.
 const multiflowPerFlowRate = 20.0
 
+// multiflowConfig is the n-flow population of the scaling sweep. The
+// report reads only rates, P and MeanRTT, so the senders keep no trace:
+// at N = 1000 a traced run would hold hundreds of MB of records.
+func multiflowConfig(n int, dur float64, salt uint64) multiflow.Config {
+	return multiflow.Config{
+		Flows: multiflow.SymmetricFlows(n, multiflow.FlowSpec{
+			RTT:    0.08,
+			Wm:     64,
+			MinRTO: 0.5,
+		}),
+		Bottleneck: multiflow.Bottleneck{
+			Rate:     multiflowPerFlowRate * float64(n),
+			QueueCap: 5 * n,
+			OneWay:   0.04,
+		},
+		Duration: dur,
+		Seed:     salt + uint64(1000+n),
+		NoTrace:  true,
+	}
+}
+
 // Multiflow runs the N-flow shared-bottleneck scaling campaign: for
 // each population size, N identical Reno flows compete for a bottleneck
 // provisioned at N x 20 pkts/s, and the measured per-flow rates are
@@ -37,20 +58,7 @@ func Multiflow(o Options) *Report {
 	pool := workpool.New(o.Workers, len(multiflowPopulations))
 	for i, n := range multiflowPopulations {
 		pool.Submit(func() {
-			results[i] = multiflow.Run(multiflow.Config{
-				Flows: multiflow.SymmetricFlows(n, multiflow.FlowSpec{
-					RTT:    0.08,
-					Wm:     64,
-					MinRTO: 0.5,
-				}),
-				Bottleneck: multiflow.Bottleneck{
-					Rate:     multiflowPerFlowRate * float64(n),
-					QueueCap: 5 * n,
-					OneWay:   0.04,
-				},
-				Duration: dur,
-				Seed:     o.Salt + uint64(1000+n),
-			})
+			results[i] = multiflow.Run(multiflowConfig(n, dur, o.Salt))
 		})
 	}
 	pool.Close()

@@ -3,6 +3,9 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"pftk/internal/hosts"
+	"pftk/internal/obs"
 )
 
 // stripWallClock zeroes the only fields of a PairRun that legitimately
@@ -57,6 +60,31 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	parallelFig := fig8From(parallelShort).Figures[0]
 	if !reflect.DeepEqual(serialFig, parallelFig) {
 		t.Error("Fig. 8 differs between -j 1 and -j 4")
+	}
+}
+
+// TestRunParallelTracesMatchSerial keeps the worker-count check sharp
+// down to the trace: campaigns drop traces once analyzed, so this runs
+// runParallel with the campaign's job minus the drop, at 1 and at 4
+// workers, and compares every run including its full trace.
+func TestRunParallelTracesMatchSerial(t *testing.T) {
+	pairs := hosts.TableII()
+	run := func(workers int) []PairRun {
+		o := Options{Workers: workers}
+		return o.runParallel(len(pairs), nil,
+			func(k int, reg *obs.Registry) PairRun {
+				return runPair(pairs[k], 120, 7, 60, reg)
+			},
+			func(k int) string { return pairs[k].Name() })
+	}
+	serial, parallel := stripWallClock(run(1)), stripWallClock(run(4))
+	for k := range serial {
+		if len(serial[k].Result.Trace) == 0 {
+			t.Fatalf("run %d (%s): no trace to compare", k, pairs[k].Name())
+		}
+		if !reflect.DeepEqual(serial[k], parallel[k]) {
+			t.Errorf("run %d (%s) differs between 1 and 4 workers", k, pairs[k].Name())
+		}
 	}
 }
 

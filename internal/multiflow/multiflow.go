@@ -30,7 +30,6 @@ import (
 	"pftk/internal/scenario"
 	"pftk/internal/sim"
 	"pftk/internal/tfrc"
-	"pftk/internal/trace"
 )
 
 // Run defaults for the knobs a caller leaves unset; the /v1/simulate
@@ -115,6 +114,12 @@ type Config struct {
 	// flow's path and sender with the standard metrics (see
 	// reno.Observe). Flows share the metric names.
 	Registry *obs.Registry
+	// NoTrace runs every TCP sender without trace recording
+	// (reno.SenderConfig.NoTrace): each FlowResult's Result.Trace is
+	// nil. Everything else in the Result — stats, link attribution,
+	// rates, P, MeanRTT, predictions and fairness — is bit-identical to
+	// a traced run, so a large population costs no per-packet memory.
+	NoTrace bool
 }
 
 // FlowResult is one flow's measured outcome.
@@ -125,7 +130,8 @@ type FlowResult struct {
 	// FlowSpec.Variant).
 	Variant string
 	// Result carries the TCP result (trace, sender stats, delivered);
-	// zero-valued for TFRC flows, which have no sender-side trace.
+	// zero-valued for TFRC flows, which have no sender-side trace. The
+	// trace is nil under Config.NoTrace.
 	Result reno.Result
 	// Rate is the flow's send rate in packets per second (originals +
 	// retransmissions; paced sends for TFRC).
@@ -135,9 +141,9 @@ type FlowResult struct {
 	// P is the measured loss-indication rate (loss events per packet
 	// for TFRC).
 	P float64
-	// MeanRTT is the average of the flow's RTT samples (the TFRC
-	// sender's smoothed estimate), falling back to the spec's
-	// propagation RTT when no sample was taken.
+	// MeanRTT is the average of the flow's Karn RTT samples, falling
+	// back to the spec's propagation RTT when no sample was taken (and
+	// for TFRC flows).
 	MeanRTT float64
 	// Predicted is the 1/(RTT·sqrt(2bp/3)) TD-only model rate at the
 	// measured P and MeanRTT; 0 when P is 0 (the model diverges).
@@ -277,6 +283,7 @@ func (m *Engine) senderConfig(i int, spec FlowSpec) reno.SenderConfig {
 		MinRTO:       spec.MinRTO,
 		TotalPackets: m.cfg.TotalPackets,
 		FlowID:       int32(i),
+		NoTrace:      m.cfg.NoTrace,
 	}
 }
 
@@ -454,7 +461,10 @@ func (m *Engine) Finish() Result {
 			fr.Rate = fr.Result.SendRate()
 			fr.Throughput = fr.Result.Throughput()
 			fr.P = fr.Result.LossIndicationRate()
-			fr.MeanRTT = meanRTT(fr.Result.Trace, f.spec.RTT)
+			fr.MeanRTT = f.spec.RTT
+			if n := fr.Result.Stats.RTTSamples; n > 0 {
+				fr.MeanRTT = f.conn.Sender.RTTSum() / float64(n)
+			}
 		}
 		if fr.P > 0 && fr.MeanRTT > 0 {
 			fr.Predicted = core.SendRateTDOnly(fr.P, fr.MeanRTT, float64(f.spec.AckEvery))
@@ -466,23 +476,6 @@ func (m *Engine) Finish() Result {
 	}
 	res.Fairness = fairness(res.Flows, m.cfg.Bottleneck.Rate)
 	return res
-}
-
-// meanRTT averages the trace's Karn-filtered round samples, falling
-// back to the propagation RTT when the flow never took a sample.
-func meanRTT(tr trace.Trace, fallback float64) float64 {
-	var sum float64
-	var n int
-	for _, r := range tr {
-		if r.Kind == trace.KindRoundSample {
-			sum += r.Val
-			n++
-		}
-	}
-	if n == 0 {
-		return fallback
-	}
-	return sum / float64(n)
 }
 
 // fairness computes Jain's index and the aggregate statistics over the

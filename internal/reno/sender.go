@@ -39,6 +39,11 @@ type SenderConfig struct {
 	// TraceCwnd, when set, logs a KindCwndChange record on every
 	// congestion-window update (verbose; intended for unit tests).
 	TraceCwnd bool
+	// NoTrace turns trace recording off: Trace returns nil and the
+	// sender stores no per-packet records. Behaviour, Stats and RTTSum
+	// are unchanged, so consumers that read only those (throughput,
+	// loss rate, mean RTT) stay exact without O(packets) memory.
+	NoTrace bool
 	// TotalPackets, when positive, makes the transfer finite: the
 	// sender transmits packets 1..TotalPackets and completes once all
 	// are acknowledged. Zero keeps the paper's saturated
@@ -141,8 +146,11 @@ type Sender struct {
 	timedValid  bool
 	timing      bool
 
-	stats  SenderStats
-	trace  *trace.Buffer
+	stats SenderStats
+	// rttSum is the running sum of the stats.RTTSamples Karn samples.
+	// It lives outside SenderStats, whose %+v form is pinned by digests.
+	rttSum float64
+	trace  *trace.Buffer // nil under SenderConfig.NoTrace
 	closed bool
 }
 
@@ -161,7 +169,9 @@ func NewSender(eng *sim.Engine, forward DataPath, cfg SenderConfig) *Sender {
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.InitialSsthresh,
 		est:      NewRTOEstimator(cfg.MinRTO, cfg.MaxRTO, cfg.Tick),
-		trace:    trace.NewBuffer(1024),
+	}
+	if !cfg.NoTrace {
+		s.trace = trace.NewBuffer(1024)
 	}
 	s.rtoTimer = eng.NewTimer(s.onTimeout)
 	return s
@@ -186,9 +196,20 @@ func (s *Sender) Stop() {
 // Stats returns the ground-truth counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 
-// Trace returns the accumulated trace records. The slice is owned by the
-// sender; copy before mutating.
-func (s *Sender) Trace() trace.Trace { return s.trace.Records() }
+// RTTSum returns the sum of the Stats().RTTSamples Karn RTT samples,
+// added in the order they were taken: the same value as summing the
+// trace's KindRoundSample records, with or without a trace.
+func (s *Sender) RTTSum() float64 { return s.rttSum }
+
+// Trace returns the accumulated trace records, or nil under
+// SenderConfig.NoTrace. The slice is owned by the sender; copy before
+// mutating.
+func (s *Sender) Trace() trace.Trace {
+	if s.trace == nil {
+		return nil
+	}
+	return s.trace.Records()
+}
 
 // Cwnd returns the current congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
@@ -206,6 +227,9 @@ func (s *Sender) BaseRTO() float64 { return s.est.RTO() }
 
 //pftk:hotpath
 func (s *Sender) log(r trace.Record) {
+	if s.trace == nil {
+		return
+	}
 	r.Time = s.eng.Now()
 	s.trace.Append(r)
 }
@@ -403,6 +427,7 @@ func (s *Sender) onNewAck(ack uint64) {
 			sample := s.eng.Now() - s.timedAt
 			s.est.Sample(sample)
 			s.stats.RTTSamples++
+			s.rttSum += sample
 			s.cfg.Metrics.RTT.Observe(sample)
 			s.log(trace.Record{Kind: trace.KindRoundSample, Seq: uint64(s.timedFlight), Val: sample})
 		}

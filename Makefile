@@ -35,10 +35,13 @@ bench:
 # their own (smaller) fixed iteration counts; benchjson merges each run
 # into the same "current" label without dropping the earlier entries.
 # BenchmarkExtMultiflow is the whole N = 2..1000 scaling sweep (about
-# 0.3 s per iteration).
-BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$
+# 0.3 s per iteration). BenchmarkSimFixedDelayLanes{,Distinct} run the
+# N = 1000 event mix with deliveries on the heap (/heap) and on the
+# engine's fixed-delay lanes (/lanes); the "pre-lanes" label holds the
+# parent engine's numbers for them.
+BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$|BenchmarkSimFixedDelayLanes$$|BenchmarkSimFixedDelayLanesDistinct$$
 BENCH_JSON_MULTI_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$|BenchmarkExtMultiflow$$
-BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMultiFlow10,BenchmarkMultiFlow100,BenchmarkExtMultiflow
+BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkSimFixedDelayLanes/heap,BenchmarkSimFixedDelayLanes/lanes,BenchmarkSimFixedDelayLanesDistinct/heap,BenchmarkSimFixedDelayLanesDistinct/lanes,BenchmarkMultiFlow10,BenchmarkMultiFlow100,BenchmarkExtMultiflow
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \

@@ -125,3 +125,42 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// TestSimResultAnalyzeUsesSenderDupThreshold checks that a Sim result
+// analyzes at its own sender's fast-retransmit threshold: 2 for linux,
+// the default 3 for reno, and each flow's own in multi-flow summaries.
+func TestSimResultAnalyzeUsesSenderDupThreshold(t *testing.T) {
+	samePS := func(a, b Summary) bool { return !(a.P < b.P || a.P > b.P) }
+	linux := Sim(WithOS("linux"), WithLoss(0.03), WithWindow(32), WithDuration(300), WithSeed(11))
+	if linux.DupThreshold != 2 {
+		t.Fatalf("linux DupThreshold = %d, want 2", linux.DupThreshold)
+	}
+	two, three := Analyze(linux.Trace, WithDupThreshold(2)), Analyze(linux.Trace)
+	if samePS(two, three) {
+		t.Fatalf("trace does not tell the thresholds apart: p = %v at 2 and 3", two.P)
+	}
+	if got := linux.Analyze(); !samePS(got, two) {
+		t.Errorf("linux Analyze p = %v, want %v (threshold 2)", got.P, two.P)
+	}
+	if got := linux.Analyze(WithDupThreshold(3)); !samePS(got, three) {
+		t.Errorf("explicit WithDupThreshold(3) p = %v, want %v", got.P, three.P)
+	}
+	if reno := Sim(WithLoss(0.03), WithDuration(60), WithSeed(11)); reno.DupThreshold != 3 {
+		t.Errorf("reno DupThreshold = %d, want 3", reno.DupThreshold)
+	}
+
+	multi := Sim(WithFlows(
+		Flow{Variant: "linux", RTT: 0.1, LossRate: 0.03},
+		Flow{Variant: "reno", RTT: 0.1, LossRate: 0.03},
+		Flow{Variant: "tfrc", RTT: 0.1},
+	), WithDuration(300), WithSeed(11))
+	if multi.DupThreshold != 2 {
+		t.Errorf("multi-flow DupThreshold = %d, want flow 0's 2", multi.DupThreshold)
+	}
+	for i, th := range []int{2, 3} {
+		want := Analyze(multi.FlowResults[i].Result.Trace, WithDupThreshold(th))
+		if !samePS(multi.Flows[i], want) {
+			t.Errorf("flow %d summary p = %v, want %v (threshold %d)", i, multi.Flows[i].P, want.P, th)
+		}
+	}
+}

@@ -3,6 +3,11 @@
 // every table and figure is also written as CSV for external plotting,
 // along with a manifest.json recording how the results were produced.
 //
+// With -run all and two or more workers, the multiflow artifact runs on a
+// worker of its own beside the others, so its manifest wall_seconds is its
+// own elapsed time, overlapped with theirs: the artifacts' wall_seconds no
+// longer add up to the manifest's total.
+//
 // Examples:
 //
 //	experiments -run table2

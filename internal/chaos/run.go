@@ -424,7 +424,7 @@ func checkModelEnvelope(out *Outcome, c Case, rd runData, env Envelope) {
 	if rd.res.Stats.LossIndications() < env.MinLossIndications {
 		return
 	}
-	sum := pftk.Analyze(rd.res.Trace)
+	sum := rd.res.Analyze()
 	params := core.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: float64(c.Wm), B: c.AckEvery}
 	if params.Validate() != nil || !(sum.P > 0) {
 		return

@@ -171,6 +171,8 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 }
 
 // NonstationaryCampaign holds one scheduled-path trace per bundled case.
+// Each run keeps its stats, summary, intervals and phase attribution —
+// all the report reads — but not its trace: Result.Trace is nil.
 type NonstationaryCampaign struct {
 	Opts Options
 	Runs []NonstationaryRun
@@ -199,6 +201,7 @@ func RunNonstationaryCampaign(o Options) *NonstationaryCampaign {
 				reg = obs.New()
 			}
 			c.Runs[k] = runNonstationary(cases[k], o.HourTraceDuration, TraceSalt(o.Salt, nonstationarySaltLane, k), o.IntervalWidth, reg)
+			c.Runs[k].Result.Trace = nil // analyzed: the campaign keeps only the products
 			prog.Step(cases[k].Name)
 		})
 	}

@@ -39,6 +39,26 @@ func TestCampaignsKeepOnlyAnalysisProducts(t *testing.T) {
 	}
 }
 
+// TestNonstationaryKeepsOnlyAnalysisProducts is the same guard for the
+// scheduled-path campaign, whose hour-long traces would otherwise be the
+// regeneration's largest live objects.
+func TestNonstationaryKeepsOnlyAnalysisProducts(t *testing.T) {
+	c := RunNonstationaryCampaign(Options{HourTraceDuration: 120, IntervalWidth: 30, Salt: 7})
+	if len(c.Runs) == 0 {
+		t.Fatal("no nonstationary runs")
+	}
+	for _, run := range c.Runs {
+		name := run.Case.Name
+		if run.Result.Trace != nil {
+			t.Errorf("%s: campaign run keeps a %d-record trace", name, len(run.Result.Trace))
+		}
+		if run.Result.Stats.TotalSent() == 0 || run.Summary.PacketsSent == 0 || len(run.Intervals) == 0 || len(run.Phases) == 0 {
+			t.Errorf("%s: missing products: stats %+v, summary %+v, %d intervals, %d phases",
+				name, run.Result.Stats, run.Summary, len(run.Intervals), len(run.Phases))
+		}
+	}
+}
+
 // TestMultiflowRecordsNoTrace checks that every population of the
 // scaling sweep runs trace-free senders that still count their traffic.
 func TestMultiflowRecordsNoTrace(t *testing.T) {

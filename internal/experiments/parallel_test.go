@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pftk/internal/hosts"
@@ -106,6 +111,108 @@ func TestParallelObservedCampaign(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sr.Obs.Counters, pr.Obs.Counters) {
 			t.Errorf("run %d: counters differ between -j 1 and -j 3", i)
+		}
+	}
+}
+
+// renderReports is the user-visible output of a regeneration: every
+// report's tables and figures (as text and as CSV) and notes, in order.
+func renderReports(t *testing.T, reports []*Report) string {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range reports {
+		fmt.Fprintf(&b, "==== %s: %s ====\n", r.ID, r.Title)
+		for _, tb := range r.Tables {
+			b.WriteString(tb.ASCII())
+			if err := tb.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range r.Figures {
+			b.WriteString(f.Summary())
+			if err := f.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range r.Notes {
+			fmt.Fprintf(&b, "note: %s\n", n)
+		}
+	}
+	return b.String()
+}
+
+// stripJSONLWallClock re-encodes a metrics JSONL stream with every
+// record's wall_seconds zeroed, the one field that depends on timing.
+func stripJSONLWallClock(t *testing.T, jsonl []byte) string {
+	t.Helper()
+	var b strings.Builder
+	sc := bufio.NewScanner(bytes.NewReader(jsonl))
+	sc.Buffer(nil, 16<<20)
+	for sc.Scan() {
+		var rec obs.RunRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("metrics record: %v", err)
+		}
+		rec.WallSeconds = 0
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestRunAllTimedOverlapMatchesSerial: with two or more workers
+// RunAllTimed runs the multiflow artifact on its own goroutine beside
+// the rest. The overlap must be invisible in everything but wall time:
+// rendered reports and metrics JSONL (minus wall_seconds) byte-identical
+// at 1, 2 and 4 workers, and onDone called once per artifact in
+// registry order. Run under -race it also checks the overlap shares no
+// state.
+func TestRunAllTimedOverlapMatchesSerial(t *testing.T) {
+	wantOrder := []string{"table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+		"correlation", "lossmodels", "shortflows", "fairness", "multiflow", "regimes", "evolution", "nonstationary"}
+	var refReports, refMetrics string
+	for _, workers := range []int{1, 2, 4} {
+		var jsonl bytes.Buffer
+		mw := obs.NewJSONLWriter(&jsonl)
+		o := Options{HourTraceDuration: 60, ShortTraces: 2, ShortTraceDuration: 5, IntervalWidth: 20, Salt: 3, Workers: workers, Metrics: mw}
+		var order []string
+		reports := RunAllTimed(o, func(r *Report, wall float64) {
+			order = append(order, r.ID)
+			if !(wall >= 0) {
+				t.Errorf("workers=%d: %s wall time %v", workers, r.ID, wall)
+			}
+		})
+		if err := mw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(order, wantOrder) {
+			t.Fatalf("workers=%d: onDone order %v, want %v", workers, order, wantOrder)
+		}
+		for i, r := range reports {
+			if r.ID != wantOrder[i] {
+				t.Fatalf("workers=%d: report %d is %s, want %s", workers, i, r.ID, wantOrder[i])
+			}
+		}
+		text, metrics := renderReports(t, reports), stripJSONLWallClock(t, jsonl.Bytes())
+		if metrics == "" {
+			t.Fatalf("workers=%d: no metrics records", workers)
+		}
+		if workers == 1 {
+			refReports, refMetrics = text, metrics
+			continue
+		}
+		if text != refReports {
+			t.Errorf("workers=%d: rendered reports differ from the serial run", workers)
+		}
+		if metrics != refMetrics {
+			t.Errorf("workers=%d: metrics JSONL (minus wall_seconds) differs from the serial run", workers)
 		}
 	}
 }

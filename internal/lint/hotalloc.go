@@ -14,7 +14,7 @@ import (
 //
 //   - function literals that capture locals — each call allocates a
 //     closure; hoist the callback into a stored field or use
-//     Engine.SchedulePacket so the payload rides the event arena
+//     Engine.ScheduleLanePacket so the payload rides with the event
 //     instead.
 //   - calls to the append builtin — growth reallocates the backing
 //     array; pre-size the buffer or guard growth off the steady state,
@@ -60,7 +60,7 @@ func runHotAlloc(p *Pass) {
 				switch n := n.(type) {
 				case *ast.FuncLit:
 					if v := capturedVar(info, n, fd); v != nil {
-						p.Reportf(n.Pos(), "hot path %s: function literal captures %s, allocating a closure per call; hoist it into a stored callback or pass the payload through SchedulePacket", name, v.Name())
+						p.Reportf(n.Pos(), "hot path %s: function literal captures %s, allocating a closure per call; hoist it into a stored callback or pass the payload through ScheduleLanePacket", name, v.Name())
 					}
 				case *ast.CallExpr:
 					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" {

@@ -135,6 +135,13 @@ type Link struct {
 	txDeliver func(pkt.Packet)
 	txDone    func()
 
+	// Engine lanes for this link's fixed-delay events: serialization
+	// completions (keyed by 1/Rate) and, under a ConstantDelay,
+	// deliveries. The zero Lane (infinite rate, non-constant delay)
+	// schedules on the engine's heap.
+	txLane   sim.Lane
+	propLane sim.Lane
+
 	// Per-flow counters, indexed by the packets' Flow field; nil (the
 	// default) disables collection and costs one nil check per packet.
 	perFlow []FlowStats
@@ -213,6 +220,8 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	l := &Link{eng: eng, cfg: cfg}
 	l.queue.presize(cfg.QueueCap)
 	l.txDone = l.onTxDone
+	l.SetRate(cfg.Rate)
+	l.SetDelay(cfg.Delay)
 	return l
 }
 
@@ -341,7 +350,7 @@ func (l *Link) serve(payload pkt.Packet, deliver func(pkt.Packet)) {
 	l.busy = true
 	l.stats.lastBusyFrom = l.eng.Now()
 	l.txPayload, l.txDeliver = payload, deliver
-	l.eng.After(1/l.cfg.Rate, l.txDone)
+	l.eng.ScheduleLane(l.txLane, l.eng.Now()+1/l.cfg.Rate, l.txDone)
 }
 
 // onTxDone completes the in-service packet's transmission: hand it to
@@ -367,16 +376,15 @@ func (l *Link) onTxDone() {
 // clamping so deliveries stay in FIFO order under jitter. During a
 // reordering window the clamp is suspended: a short-delay packet may
 // overtake its predecessors, which is exactly the pathology the fault
-// injects.
+// injects. A constant delay delivers through the delay's engine lane;
+// the engine itself sends a time that would land before the lane's tail
+// (clamped, or overtaking inside a reordering window) to the heap.
 //
 //pftk:hotpath
 func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 	d := 0.0
 	if l.cfg.Delay != nil {
-		d = l.cfg.Delay.Delay(l.eng.Now())
-	}
-	if d < 0 || math.IsNaN(d) {
-		d = 0
+		d = sanitizeDelay(l.cfg.Delay.Delay(l.eng.Now()))
 	}
 	at := l.eng.Now() + d
 	if !l.reorder && at < l.lastOut {
@@ -390,7 +398,7 @@ func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 		fs.Delivered++
 	}
 	l.cfg.Metrics.Delivered.Inc()
-	l.eng.SchedulePacket(at, deliver, payload)
+	l.eng.ScheduleLanePacket(l.propLane, at, deliver, payload)
 }
 
 // SetLoss replaces the link's loss model; nil disables loss. Effective
@@ -402,7 +410,25 @@ func (l *Link) Loss() LossModel { return l.cfg.Loss }
 
 // SetDelay replaces the link's propagation-delay process; nil means zero
 // delay. In-flight packets keep the delay they were assigned.
-func (l *Link) SetDelay(d DelayProcess) { l.cfg.Delay = d }
+func (l *Link) SetDelay(d DelayProcess) {
+	l.cfg.Delay = d
+	switch c := d.(type) {
+	case nil:
+		l.propLane = l.eng.Lane(0)
+	case ConstantDelay:
+		l.propLane = l.eng.Lane(sanitizeDelay(float64(c)))
+	default:
+		l.propLane = 0
+	}
+}
+
+// sanitizeDelay maps a negative or NaN delay to zero.
+func sanitizeDelay(d float64) float64 {
+	if d < 0 || math.IsNaN(d) {
+		return 0
+	}
+	return d
+}
 
 // Delay returns the link's current delay process.
 func (l *Link) Delay() DelayProcess { return l.cfg.Delay }
@@ -411,7 +437,13 @@ func (l *Link) Delay() DelayProcess { return l.cfg.Delay }
 // negative means infinitely fast. A packet already in transmission keeps
 // its old serialization time; queued packets are served at the new rate
 // (and drain immediately when the link becomes infinitely fast).
-func (l *Link) SetRate(rate float64) { l.cfg.Rate = rate }
+func (l *Link) SetRate(rate float64) {
+	l.cfg.Rate = rate
+	l.txLane = 0
+	if rate > 0 {
+		l.txLane = l.eng.Lane(1 / rate)
+	}
+}
 
 // SetQueueCap changes the drop-tail capacity. Already-queued packets are
 // never evicted; a shrunken capacity only affects new arrivals.

@@ -21,6 +21,8 @@ type Artifact struct {
 	Title string `json:"title"`
 	// WallSeconds is the wall-clock cost of regenerating it (0 when the
 	// artifact shared a batched campaign and was not individually timed).
+	// An artifact regenerated alongside others (multiflow, with two or
+	// more workers) reports its own elapsed time, overlapped with theirs.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Files lists the exported file names, relative to the manifest.
 	Files []string `json:"files,omitempty"`

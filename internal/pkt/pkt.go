@@ -6,7 +6,7 @@
 //
 // Packet replaces the `any` payloads the sim/netem boundary used to box:
 // a single pointer-free value type covers every protocol's wire format,
-// so the hot path — Link.Send through Engine.SchedulePacket to the
+// so the hot path — Link.Send through Engine.ScheduleLanePacket to the
 // delivery callback — moves packets by value with zero allocations. The
 // cost is one discriminator check at each protocol boundary (a receiver
 // ignores Kinds it does not own), exactly like demultiplexing on a real

@@ -214,7 +214,7 @@ func runSimulation(r SimulateRequest, extra ...pftk.SimOption) SimulateResult {
 	}
 	opts = append(opts, extra...)
 	res := pftk.Sim(opts...)
-	sum := pftk.Analyze(res.Trace)
+	sum := res.Analyze()
 	out := SimulateResult{
 		Duration:           res.Duration,
 		PacketsSent:        res.Stats.TotalSent(),

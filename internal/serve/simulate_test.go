@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pftk"
 )
 
 // FuzzSimulateCacheKey checks the /v1/simulate cache key against the
@@ -76,4 +78,48 @@ func sameSimulation(t *testing.T, a, b SimulateRequest) bool {
 	}
 	a.Scenario, b.Scenario = nil, nil
 	return a == b && bytes.Equal(sa, sb)
+}
+
+// TestSimulateLinuxUsesDupThresholdTwo checks that /v1/simulate infers
+// a linux sender's loss events at its own fast-retransmit threshold of
+// two duplicate ACKs: measured_p must be the threshold-2 analysis of
+// the simulated trace, which on this trace differs from the default 3.
+func TestSimulateLinuxUsesDupThresholdTwo(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	body := `{"loss_rate":0.03,"wm":32,"duration":300,"seed":11,"variant":"linux"}`
+	rec := postJSON(s, "/v1/simulate", body)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit status %d, body %s", rec.Code, rec.Body)
+	}
+	var submitted Job
+	if err := json.Unmarshal(rec.Body.Bytes(), &submitted); err != nil {
+		t.Fatal(err)
+	}
+	job := waitForJob(t, s, submitted.ID)
+	if job.Status != JobDone || job.Result == nil {
+		t.Fatalf("job did not complete: %+v", job)
+	}
+
+	r, ok := normalizedSimulate(body)
+	if !ok {
+		t.Fatal("request does not normalize")
+	}
+	res := pftk.Sim(
+		pftk.WithPath(r.RTT),
+		pftk.WithBurstLoss(r.LossRate, r.BurstDur),
+		pftk.WithWindow(r.Wm),
+		pftk.WithMinRTO(r.MinRTO),
+		pftk.WithDuration(r.Duration),
+		pftk.WithSeed(r.Seed),
+		pftk.WithOS(r.Variant),
+		pftk.WithDelayedACKs(r.AckEvery),
+	)
+	two := pftk.Analyze(res.Trace, pftk.WithDupThreshold(2))
+	three := pftk.Analyze(res.Trace)
+	if !(two.P < three.P || two.P > three.P) {
+		t.Fatalf("trace does not tell the thresholds apart: p = %v at 2 and 3", two.P)
+	}
+	if got := job.Result.MeasuredP; got < two.P || got > two.P {
+		t.Errorf("measured_p = %v, want %v (threshold 2), not %v (threshold 3)", got, two.P, three.P)
+	}
 }

@@ -4,13 +4,15 @@ package sim
 // the zero-allocation engine rewrite. These tests pin the safety
 // properties the pool must keep while recycling slots — stale handles are
 // inert, FIFO ordering survives recycling, and a long randomized
-// schedule/cancel soak agrees event-for-event with the original
+// schedule/cancel/lane soak agrees event-for-event with the original
 // container/heap implementation kept below as an oracle.
 
 import (
 	"container/heap"
 	"strings"
 	"testing"
+
+	"pftk/internal/pkt"
 )
 
 // TestCancelThenRescheduleSlotReuse: cancelling an event recycles its
@@ -240,12 +242,28 @@ type oracleEngine struct {
 	now     float64
 	heap    oracleHeap
 	nextSeq uint64
+	stopped bool
+	// hooks and flight mirror the engine's Hooks and FlightRecorder so
+	// the soak can compare them entry for entry.
+	hooks  []hookRec
+	flight []FlightEvent
+}
+
+// hookRec is one observed hook call: kind 's' (Scheduled), 'f'
+// (EventFired) or 'c' (Cancelled), the time argument and the queue
+// depth.
+type hookRec struct {
+	kind    byte
+	at      float64
+	pending int
 }
 
 func (o *oracleEngine) schedule(at float64, fn func()) *oracleEvent {
 	ev := &oracleEvent{at: at, seq: o.nextSeq, fn: fn}
 	o.nextSeq++
 	heap.Push(&o.heap, ev)
+	o.flight = append(o.flight, FlightEvent{Kind: FlightSchedule, Now: o.now, At: at, Seq: ev.seq})
+	o.hooks = append(o.hooks, hookRec{'s', at, len(o.heap)})
 	return ev
 }
 
@@ -254,7 +272,9 @@ func (o *oracleEngine) cancel(ev *oracleEvent) bool {
 		return false
 	}
 	ev.cancelled = true
+	o.flight = append(o.flight, FlightEvent{Kind: FlightCancel, Now: o.now, At: ev.at, Seq: ev.seq})
 	heap.Remove(&o.heap, ev.index)
+	o.hooks = append(o.hooks, hookRec{'c', 0, len(o.heap)})
 	return true
 }
 
@@ -265,22 +285,91 @@ func (o *oracleEngine) step() bool {
 	ev := heap.Pop(&o.heap).(*oracleEvent)
 	ev.fired = true
 	o.now = ev.at
+	o.flight = append(o.flight, FlightEvent{Kind: FlightFire, Now: o.now, At: ev.at, Seq: ev.seq})
 	ev.fn()
+	o.hooks = append(o.hooks, hookRec{'f', o.now, len(o.heap)})
 	return true
+}
+
+func (o *oracleEngine) runUntil(deadline float64) int {
+	n := 0
+	o.stopped = false
+	for !o.stopped && len(o.heap) > 0 && o.heap[0].at <= deadline {
+		o.step()
+		n++
+	}
+	if !o.stopped && o.now < deadline {
+		o.now = deadline
+	}
+	return n
 }
 
 // TestRandomizedScheduleCancelSoakVsOracle drives the pooled engine and
 // the container/heap oracle through the same long pseudo-random sequence
-// of schedule / cancel / step operations — including cancels through
-// stale handles whose slots have been recycled — and requires identical
-// fire order, identical cancel outcomes, and identical clocks throughout.
-// Coarsely quantized fire times force frequent ties so the seq tiebreak
-// is exercised across recycling.
+// of operations and requires identical fire order, cancel outcomes,
+// clocks, Pending counts, hook calls (with their queue depths) and
+// flight-recorder records throughout. The operations:
+//   - heap events at coarse future times, so the seq tiebreak is
+//     exercised across slot recycling;
+//   - lane events on three fixed-delay lanes, a quarter of them at an
+//     earlier time than the delay gives, which must fall back to the
+//     heap when they land before the lane's tail, plus pushes on the
+//     zero Lane;
+//   - cancels through live and stale handles;
+//   - single steps and RunUntil deadlines;
+//   - events that, when fired, schedule a follow-up lane event or Stop
+//     the run.
 func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	rng := NewRNG(0xdecade)
 	var e Engine
 	var o oracleEngine
 	var got, want []int
+	var hooks []hookRec
+	e.SetHooks(Hooks{
+		Scheduled:  func(at float64, pending int) { hooks = append(hooks, hookRec{'s', at, pending}) },
+		EventFired: func(now float64, pending int) { hooks = append(hooks, hookRec{'f', now, pending}) },
+		Cancelled:  func() { hooks = append(hooks, hookRec{'c', 0, e.Pending()}) },
+	})
+	const flightCap = 4096
+	fr := NewFlightRecorder(flightCap)
+	e.SetFlightRecorder(fr)
+
+	delays := []float64{0.25, 0.5, 1.75}
+	lanes := make([]Lane, len(delays))
+	for i, d := range delays {
+		lanes[i] = e.Lane(d)
+	}
+
+	// Fired events append their token; every fifth top-level token
+	// schedules a follow-up lane event (token -tok-1) and every
+	// eleventh stops the run. Both engines take the same decisions.
+	var engineCb func(tok int) func()
+	engineCb = func(tok int) func() {
+		return func() {
+			got = append(got, tok)
+			if tok >= 0 && tok%5 == 0 {
+				k := tok % len(delays)
+				e.ScheduleLane(lanes[k], e.Now()+delays[k], engineCb(-tok-1))
+			}
+			if tok >= 0 && tok%11 == 0 {
+				e.Stop()
+			}
+		}
+	}
+	var oracleCb func(tok int) func()
+	oracleCb = func(tok int) func() {
+		return func() {
+			want = append(want, tok)
+			if tok >= 0 && tok%5 == 0 {
+				k := tok % len(delays)
+				o.schedule(o.now+delays[k], oracleCb(-tok-1))
+			}
+			if tok >= 0 && tok%11 == 0 {
+				o.stopped = true
+			}
+		}
+	}
+	deliver := func(p pkt.Packet) { engineCb(int(p.Seq))() }
 
 	type pair struct {
 		ev Event
@@ -288,17 +377,42 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	}
 	var handles []pair // includes stale entries on purpose
 	token := 0
+	var lanePushes, fallbacks int
 
 	const ops = 30000
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(10); {
-		case op < 5: // schedule a new event at a coarse future time
+		case op < 4: // schedule a heap event at a coarse future time
 			tok := token
 			token++
 			at := e.Now() + float64(rng.Intn(40))/4
-			ev := e.Schedule(at, func() { got = append(got, tok) })
-			oe := o.schedule(at, func() { want = append(want, tok) })
+			ev := e.Schedule(at, engineCb(tok))
+			oe := o.schedule(at, oracleCb(tok))
 			handles = append(handles, pair{ev, oe})
+		case op < 6: // a lane event, sometimes earlier than its delay
+			tok := token
+			token++
+			k := rng.Intn(len(delays) + 1)
+			ln, at := Lane(0), e.Now()+float64(rng.Intn(8))/8
+			if k < len(delays) {
+				ln = lanes[k]
+				if rng.Intn(4) > 0 {
+					at = e.Now() + delays[k]
+				}
+			}
+			before := len(e.heap)
+			if tok%2 == 0 {
+				e.ScheduleLane(ln, at, engineCb(tok))
+			} else {
+				e.ScheduleLanePacket(ln, at, deliver, pkt.Packet{Seq: uint64(tok)})
+			}
+			if ln != 0 {
+				lanePushes++
+				if len(e.heap) > before {
+					fallbacks++
+				}
+			}
+			o.schedule(at, oracleCb(tok))
 		case op < 8: // cancel a random handle, possibly stale
 			if len(handles) == 0 {
 				continue
@@ -308,14 +422,23 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 			if cp != co {
 				t.Fatalf("op %d: Cancel disagreement: pooled=%v oracle=%v", i, cp, co)
 			}
-		default: // fire one event on both
+		case op < 9: // fire one event on both
 			se, so := e.Step(), o.step()
 			if se != so {
 				t.Fatalf("op %d: Step disagreement: pooled=%v oracle=%v", i, se, so)
 			}
+		default: // run to a deadline, possibly cut short by Stop
+			deadline := e.Now() + float64(rng.Intn(8))/4
+			ne, no := e.RunUntil(deadline), o.runUntil(deadline)
+			if int(ne) != no {
+				t.Fatalf("op %d: RunUntil fired %d, oracle %d", i, ne, no)
+			}
 		}
 		if e.Pending() != len(o.heap) {
 			t.Fatalf("op %d: pending %d vs oracle %d", i, e.Pending(), len(o.heap))
+		}
+		if e.Now() < o.now || e.Now() > o.now {
+			t.Fatalf("op %d: clock %g vs oracle %g", i, e.Now(), o.now)
 		}
 	}
 	for e.Step() {
@@ -334,8 +457,26 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 			t.Fatalf("fire order diverges at %d: pooled=%d oracle=%d", i, got[i], want[i])
 		}
 	}
-	if e.Now() < o.now || e.Now() > o.now {
-		t.Fatalf("clock %g vs oracle %g", e.Now(), o.now)
+	if len(hooks) != len(o.hooks) {
+		t.Fatalf("%d hook calls, oracle %d", len(hooks), len(o.hooks))
 	}
-	t.Logf("soak: %d events fired in lockstep, pool working set %d slots", len(got), e.PoolSize())
+	for i := range hooks {
+		if hooks[i] != o.hooks[i] {
+			t.Fatalf("hook call %d: %+v, oracle %+v", i, hooks[i], o.hooks[i])
+		}
+	}
+	if fr.Total() != uint64(len(o.flight)) {
+		t.Fatalf("flight recorder noted %d records, oracle %d", fr.Total(), len(o.flight))
+	}
+	tail := o.flight[len(o.flight)-flightCap:]
+	for i, ev := range fr.Events() {
+		if ev != tail[i] {
+			t.Fatalf("flight record %d: %+v, oracle %+v", i, ev, tail[i])
+		}
+	}
+	if lanePushes == 0 || fallbacks == 0 || fallbacks == lanePushes {
+		t.Fatalf("lane pushes %d, heap fallbacks %d: the soak must exercise both", lanePushes, fallbacks)
+	}
+	t.Logf("soak: %d events fired in lockstep, %d lane pushes (%d fell back to the heap), pool working set %d slots",
+		len(got), lanePushes, fallbacks, e.PoolSize())
 }

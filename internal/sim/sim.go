@@ -1,7 +1,10 @@
 // Package sim provides the discrete-event simulation engine underneath the
 // network emulator and the TCP Reno implementation: a pooled event arena
 // behind a monomorphic 4-ary min-heap with a virtual clock, stable FIFO
-// ordering for simultaneous events, and cancellable timers.
+// ordering for simultaneous events, and cancellable timers. Events a
+// fixed delay after the current time (link deliveries, serialization
+// completions) may instead ride FIFO lanes that bypass the heap (see
+// Lane) without changing the firing order.
 //
 // Time is a float64 number of seconds since the start of the simulation.
 // Determinism: given the same sequence of Schedule calls, Run always fires
@@ -51,7 +54,7 @@ type Event struct {
 // no heap references without any per-recycle clearing.
 type slot struct {
 	fn      func()           // callback for Schedule/After events
-	pktFn   func(pkt.Packet) // callback for SchedulePacket events
+	pktFn   func(pkt.Packet) // callback for ScheduleLanePacket events
 	pkt     pkt.Packet       // payload delivered to pktFn
 	gen     uint32           // bumped on recycle; validates Event handles
 	heapIdx int32            // position in Engine.heap, -1 when not queued
@@ -108,6 +111,11 @@ type Engine struct {
 	fired   uint64
 	hooks   Hooks
 	flight  *FlightRecorder
+
+	lanes    []lane          // fixed-delay FIFO lanes (see Lane)
+	laneKeys map[uint64]Lane // lane per delay bit pattern
+	laneHeap []node          // non-empty lanes by head (at, seq); id = lane index
+	laneLen  int             // events queued across all lanes
 }
 
 // SetHooks installs (or, with the zero Hooks, removes) the engine's
@@ -131,8 +139,9 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of events still scheduled, on the heap
+// and in the lanes.
+func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
 // PoolSize returns the number of arena slots ever allocated — the
 // steady-state working set (peak concurrent events), not the total event
@@ -160,30 +169,15 @@ func (e *Engine) Schedule(at float64, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return e.schedule(at, fn, nil, pkt.Packet{})
+	e.checkTime(at)
+	return e.pushHeap(at, fn, nil, pkt.Packet{})
 }
 
-// SchedulePacket runs fn(p) at absolute time at. It is Schedule for
-// packet-carrying callbacks: the typed payload rides in the event's
-// arena slot, so hot paths that deliver a packet (link propagation)
-// need neither a per-event closure nor an interface box. Scheduling
-// rules match Schedule exactly, and the event draws from the same
-// sequence space, so Schedule and SchedulePacket calls interleave
-// deterministically.
+// checkTime panics on a fire time that would corrupt causality: NaN or
+// before Now.
 //
 //pftk:hotpath
-func (e *Engine) SchedulePacket(at float64, fn func(pkt.Packet), p pkt.Packet) Event {
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	return e.schedule(at, nil, fn, p)
-}
-
-// schedule allocates a slot (reusing the free list), pushes a heap node
-// and returns the generation-counted handle.
-//
-//pftk:hotpath
-func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.Packet) Event {
+func (e *Engine) checkTime(at float64) {
 	if invariant.Enabled {
 		// Stricter than the NaN/past check below: +Inf event times are
 		// legal (they simply never fire before any finite deadline) but
@@ -193,6 +187,13 @@ func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.P
 	if math.IsNaN(at) || at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
+}
+
+// pushHeap allocates a slot (reusing the free list), pushes a heap node
+// and returns the generation-counted handle.
+//
+//pftk:hotpath
+func (e *Engine) pushHeap(at float64, fn func(), pktFn func(pkt.Packet), p pkt.Packet) Event {
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
@@ -211,13 +212,21 @@ func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.P
 	//pftklint:ignore hotalloc heap growth is amortized; capacity tracks the peak queue depth
 	e.heap = append(e.heap, node{at: at, seq: seq, id: id})
 	e.siftUp(len(e.heap) - 1)
+	e.noteScheduled(at, seq)
+	return Event{id: id + 1, gen: s.gen}
+}
+
+// noteScheduled reports a queued event, heap or lane, to the flight
+// recorder and the Scheduled hook.
+//
+//pftk:hotpath
+func (e *Engine) noteScheduled(at float64, seq uint64) {
 	if e.flight != nil {
 		e.flight.Note(FlightSchedule, e.now, at, seq, "")
 	}
 	if e.hooks.Scheduled != nil {
-		e.hooks.Scheduled(at, len(e.heap))
+		e.hooks.Scheduled(at, e.Pending())
 	}
-	return Event{id: id + 1, gen: s.gen}
 }
 
 // After runs fn after delay d (seconds) from the current time. A negative
@@ -262,6 +271,10 @@ func (e *Engine) Stop() { e.stopped = true }
 //
 //pftk:hotpath
 func (e *Engine) Step() bool {
+	if e.laneNext() {
+		e.stepLane()
+		return true
+	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -269,12 +282,21 @@ func (e *Engine) Step() bool {
 	s := &e.slots[top.id]
 	fn, pktFn, p := s.fn, s.pktFn, s.pkt
 	e.recycle(top.id)
-	e.now = top.at
+	e.fire(top.at, top.seq, fn, pktFn, p)
+	return true
+}
+
+// fire advances the clock to a dequeued event, heap or lane, and runs
+// it.
+//
+//pftk:hotpath
+func (e *Engine) fire(at float64, seq uint64, fn func(), pktFn func(pkt.Packet), p pkt.Packet) {
+	e.now = at
 	e.fired++
 	// Noted before the callback runs: a panicking event leaves its own
 	// fire entry as the newest record in the dump.
 	if e.flight != nil {
-		e.flight.Note(FlightFire, e.now, top.at, top.seq, "")
+		e.flight.Note(FlightFire, e.now, at, seq, "")
 	}
 	if fn != nil {
 		fn()
@@ -282,9 +304,8 @@ func (e *Engine) Step() bool {
 		pktFn(p)
 	}
 	if e.hooks.EventFired != nil {
-		e.hooks.EventFired(e.now, len(e.heap))
+		e.hooks.EventFired(e.now, e.Pending())
 	}
-	return true
 }
 
 // RunUntil processes events until the queue empties, Stop is called, or
@@ -295,7 +316,7 @@ func (e *Engine) RunUntil(deadline float64) uint64 {
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		if len(e.heap) == 0 || e.heap[0].at > deadline {
+		if at, ok := e.nextAt(); !ok || at > deadline {
 			break
 		}
 		e.Step()
@@ -304,6 +325,24 @@ func (e *Engine) RunUntil(deadline float64) uint64 {
 		e.now = deadline
 	}
 	return e.fired - start
+}
+
+// laneNext reports whether the next event to fire is the earliest lane
+// head rather than the heap's top: the smaller (at, seq) of the two.
+func (e *Engine) laneNext() bool {
+	return len(e.laneHeap) > 0 && (len(e.heap) == 0 || nodeLess(e.laneHeap[0], e.heap[0]))
+}
+
+// nextAt returns the fire time of the next event, heap or lane, and
+// whether there is one.
+func (e *Engine) nextAt() (float64, bool) {
+	switch {
+	case e.laneNext():
+		return e.laneHeap[0].at, true
+	case len(e.heap) > 0:
+		return e.heap[0].at, true
+	}
+	return 0, false
 }
 
 // Run processes events until the queue is empty or Stop is called, and

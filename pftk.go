@@ -152,6 +152,31 @@ type SimResult struct {
 	// TransferComplete reports whether the finite transfer finished
 	// before its deadline.
 	TransferComplete bool
+	// DupThreshold is the fast-retransmit duplicate-ACK threshold of
+	// the sender that produced Trace (flow 0's in multi-flow runs): 2
+	// for linux, 3 for the other TCP variants, 0 for TFRC.
+	DupThreshold int
+}
+
+// Analyze runs Analyze over the result's trace at the fast-retransmit
+// threshold of the sender that produced it, so inferred loss events
+// match the simulated stack. opts are applied after that threshold.
+func (r SimResult) Analyze(opts ...AnalyzeOption) Summary {
+	return Analyze(r.Trace, append([]AnalyzeOption{WithDupThreshold(r.DupThreshold)}, opts...)...)
+}
+
+// dupThreshold returns the fast-retransmit threshold of the named
+// sender variant, or 0 for TFRC, which has no sender trace. An unknown
+// name runs Reno, so it gets Reno's threshold.
+func dupThreshold(variant string) int {
+	if variant == "tfrc" {
+		return 0
+	}
+	v, err := reno.ParseVariant(variant)
+	if err != nil {
+		v = reno.Reno
+	}
+	return v.DupThreshold
 }
 
 // Flow specifies one sender in a multi-flow simulation: its congestion
@@ -264,9 +289,10 @@ func run(c simConfig) SimResult {
 		m.Start()
 		eng.RunUntil(m.Duration())
 		mres := m.Finish()
-		out := SimResult{Result: mres.Flows[0].Result, FlowResults: mres.Flows, Fairness: mres.Fairness}
+		out := SimResult{Result: mres.Flows[0].Result, FlowResults: mres.Flows, Fairness: mres.Fairness,
+			DupThreshold: dupThreshold(mres.Flows[0].Variant)}
 		for _, fr := range mres.Flows {
-			out.Flows = append(out.Flows, Analyze(fr.Result.Trace))
+			out.Flows = append(out.Flows, Analyze(fr.Result.Trace, WithDupThreshold(dupThreshold(fr.Variant))))
 		}
 		return out
 	}
@@ -293,7 +319,7 @@ func run(c simConfig) SimResult {
 		runner = m.BindScenario(0, c.scenario, horizon)
 	}
 	m.Start()
-	var out SimResult
+	out := SimResult{DupThreshold: dupThreshold(spec.Variant)}
 	if finite {
 		out.TransferTime = horizon
 		for eng.Now() < horizon && eng.Step() {

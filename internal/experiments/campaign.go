@@ -21,6 +21,7 @@ import (
 	"pftk/internal/hosts"
 	"pftk/internal/obs"
 	"pftk/internal/reno"
+	"pftk/internal/scenario"
 	"pftk/internal/sim"
 	"pftk/internal/tablefmt"
 	"pftk/internal/workpool"
@@ -93,9 +94,9 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// PairRun is one finished trace with its analysis products. RunPair and
-// RunPairObserved return the trace in Result.Trace; campaign runs drop
-// it once analyzed (see Campaign).
+// PairRun is one finished trace with its analysis products. RunPair
+// returns the trace in Result.Trace; campaign runs drop it once
+// analyzed (see Campaign).
 type PairRun struct {
 	Pair      hosts.Pair
 	Result    reno.Result
@@ -125,57 +126,86 @@ func (pr PairRun) Params() core.Params {
 	return p
 }
 
-// RunPair simulates one bulk-transfer connection for the pair (after
-// fitting its drop process to the published loss rate) and analyzes its
-// trace with the wire-level inference pipeline.
-func RunPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64) PairRun {
-	return runPair(p, duration, salt, intervalWidth, nil)
+// connector wires one connection on a fresh engine, instrumenting the
+// engine, both link directions and the sender on reg when reg is
+// non-nil.
+type connector func(eng *sim.Engine, reg *obs.Registry) *reno.Connection
+
+// connect is the connector of the standard connection built from cfg.
+func connect(cfg reno.ConnConfig) connector {
+	return func(eng *sim.Engine, reg *obs.Registry) *reno.Connection {
+		reno.Observe(eng, &cfg, reg)
+		return reno.NewConnection(eng, cfg)
+	}
 }
 
-// RunPairObserved is RunPair with metric collection on reg (nil disables
-// it): the engine, both link directions and the sender are instrumented,
-// and the returned PairRun carries the registry's final snapshot.
-func RunPairObserved(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
-	return runPair(p, duration, salt, intervalWidth, reg)
-}
-
-func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
+// runTrace is the one simulate-and-analyze path of the experiments, the
+// paper's Section III method: it wires a connection with build, binds
+// scen's schedule to its path when scen is non-nil, runs it for
+// duration simulated seconds, and analyzes the trace at the sender's
+// own dup-ACK threshold into loss events, a summary and width-second
+// intervals. With a non-nil reg the run carries reg's final snapshot.
+// The second result is the schedule's per-segment drop attribution (nil
+// without a schedule).
+func runTrace(build connector, scen *scenario.Config, duration, width float64, reg *obs.Registry) (PairRun, []scenario.PhaseStat) {
 	start := time.Now()
-	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})
-	cfg := p.ConnConfig(salt)
 	var eng sim.Engine
-	reno.Observe(&eng, &cfg, reg)
-	res := reno.NewConnection(&eng, cfg).Run(duration)
-	events := analysis.InferLossEvents(res.Trace, p.SenderVariant().DupThreshold)
+	conn := build(&eng, reg)
+	var runner *scenario.Runner
+	if scen != nil {
+		sc := *scen
+		sc.Horizon, sc.Registry = duration, reg
+		runner = scenario.Bind(&eng, conn.Path, sc)
+	}
+	res := conn.Run(duration)
+	events := analysis.InferLossEvents(res.Trace, res.DupThreshold)
 	pr := PairRun{
-		Pair:      p,
 		Result:    res,
 		Events:    events,
 		Summary:   analysis.Summarize(res.Trace, events),
-		Intervals: analysis.Intervals(res.Trace, events, intervalWidth),
+		Intervals: analysis.Intervals(res.Trace, events, width),
+	}
+	var phases []scenario.PhaseStat
+	if runner != nil {
+		phases = runner.Finish()
 	}
 	if reg != nil {
 		snap := reg.Snapshot()
 		pr.Obs = &snap
 	}
 	pr.WallSeconds = time.Since(start).Seconds()
+	return pr, phases
+}
+
+// RunPair simulates one bulk-transfer connection for the pair (after
+// fitting its drop process to the published loss rate) and analyzes its
+// trace with the wire-level inference pipeline. A non-nil reg collects
+// the run's metrics: the returned PairRun then carries its final
+// snapshot. WallSeconds includes the fit, which the first run of each
+// pair in a process pays.
+func RunPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
+	start := time.Now()
+	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})
+	pr, _ := runTrace(connect(p.ConnConfig(salt)), nil, duration, intervalWidth, reg)
+	pr.Pair = p
+	pr.WallSeconds = time.Since(start).Seconds()
 	return pr
 }
 
 // record exports one finished run to the campaign's metrics writer, when
-// configured. Export failures are swallowed here and surface through the
-// writer's sticky error at Flush time.
-func (o Options) record(experiment string, trace int, duration float64, pr PairRun) {
-	if o.Metrics == nil || pr.Obs == nil {
+// configured and the run was observed. Export failures are swallowed
+// here and surface through the writer's sticky error at Flush time.
+func (o Options) record(experiment, name string, trace int, duration, wall float64, snap *obs.Snapshot) {
+	if o.Metrics == nil || snap == nil {
 		return
 	}
 	_ = o.Metrics.Write(obs.RunRecord{
 		Experiment:  experiment,
-		Pair:        pr.Pair.Name(),
+		Pair:        name,
 		Trace:       trace,
 		SimSeconds:  duration,
-		WallSeconds: pr.WallSeconds,
-		Metrics:     *pr.Obs,
+		WallSeconds: wall,
+		Metrics:     *snap,
 	})
 }
 
@@ -188,14 +218,14 @@ type Campaign struct {
 	Runs []PairRun
 }
 
-// runParallel executes n independent trace jobs across Options.Workers
+// runParallel executes n independent trace jobs across o.Workers
 // goroutines using the same worker-pool primitive as the pftkd service.
 // run(k) must be a pure function of k (per-trace salts make the
 // simulations order-independent); results come back indexed, so any
 // worker count yields byte-identical campaign output. prog is stepped as
 // jobs finish — progress order is the only thing concurrency changes.
-func (o Options) runParallel(n int, prog *obs.Progress, run func(k int, reg *obs.Registry) PairRun, unit func(k int) string) []PairRun {
-	runs := make([]PairRun, n)
+func runParallel[R any](o Options, n int, prog *obs.Progress, run func(k int, reg *obs.Registry) R, unit func(k int) string) []R {
+	runs := make([]R, n)
 	pool := workpool.New(o.Workers, n)
 	for k := 0; k < n; k++ {
 		pool.Submit(func() {
@@ -216,13 +246,18 @@ func (o Options) runParallel(n int, prog *obs.Progress, run func(k int, reg *obs
 // RunCampaign executes the Table II campaign: one HourTraceDuration trace
 // per Table II pair, Workers pairs at a time.
 func RunCampaign(o Options) *Campaign {
+	return runCampaign(o, hosts.TableII())
+}
+
+// runCampaign executes one HourTraceDuration trace per pair, Workers
+// pairs at a time.
+func runCampaign(o Options, pairs []hosts.Pair) *Campaign {
 	o = o.normalize()
 	c := &Campaign{Opts: o}
-	pairs := hosts.TableII()
 	prog := obs.NewProgress(o.Progress, "hour campaign", len(pairs))
-	runs := o.runParallel(len(pairs), prog,
+	runs := runParallel(o, len(pairs), prog,
 		func(k int, reg *obs.Registry) PairRun {
-			pr := runPair(pairs[k], o.HourTraceDuration, o.Salt, o.IntervalWidth, reg)
+			pr := RunPair(pairs[k], o.HourTraceDuration, o.Salt, o.IntervalWidth, reg)
 			pr.Result.Trace = nil // analyzed: the campaign keeps only the products
 			return pr
 		},
@@ -231,7 +266,7 @@ func RunCampaign(o Options) *Campaign {
 	// file is reproducible across worker counts (up to wall-clock
 	// fields).
 	for _, run := range runs {
-		o.record("hour", 0, o.HourTraceDuration, run)
+		o.record("hour", run.Pair.Name(), 0, o.HourTraceDuration, run.WallSeconds, run.Obs)
 	}
 	c.Runs = runs
 	prog.Done()
@@ -269,11 +304,11 @@ func RunShortCampaign(o Options) *ShortCampaign {
 	prog := obs.NewProgress(o.Progress, "short campaign", n)
 	// Job k is connection k%ShortTraces of pair k/ShortTraces; TraceSalt
 	// keys the random streams on (i, j), not on execution order.
-	runs := o.runParallel(n, prog,
+	runs := runParallel(o, n, prog,
 		func(k int, reg *obs.Registry) PairRun {
 			i, j := k/o.ShortTraces, k%o.ShortTraces
 			// Each short trace is analyzed as a single interval.
-			pr := runPair(sc.Pairs[i], o.ShortTraceDuration, TraceSalt(o.Salt, i, j), o.ShortTraceDuration, reg)
+			pr := RunPair(sc.Pairs[i], o.ShortTraceDuration, TraceSalt(o.Salt, i, j), o.ShortTraceDuration, reg)
 			pr.Result.Trace = nil // analyzed: the campaign keeps only the products
 			return pr
 		},
@@ -283,7 +318,7 @@ func RunShortCampaign(o Options) *ShortCampaign {
 	for i := range sc.Pairs {
 		sc.Runs[i] = runs[i*o.ShortTraces : (i+1)*o.ShortTraces]
 		for j, run := range sc.Runs[i] {
-			o.record("short", j, o.ShortTraceDuration, run)
+			o.record("short", run.Pair.Name(), j, o.ShortTraceDuration, run.WallSeconds, run.Obs)
 		}
 	}
 	prog.Done()
@@ -292,7 +327,7 @@ func RunShortCampaign(o Options) *ShortCampaign {
 
 // Report is the renderable output of one experiment.
 type Report struct {
-	// ID is the registry key ("table2", "fig9", ...).
+	// ID is the experiment ID ("table2", "fig9", ...).
 	ID string
 	// Title describes the artifact being reproduced.
 	Title string

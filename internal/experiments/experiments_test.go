@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/hosts"
 	"pftk/internal/tablefmt"
@@ -36,7 +38,7 @@ func TestOptionsNormalize(t *testing.T) {
 
 func TestRunPairProducesAnalyzedTrace(t *testing.T) {
 	pair, _ := hosts.PairByName("void-sutton")
-	run := RunPair(pair, 300, 3, 100)
+	run := RunPair(pair, 300, 3, 100, nil)
 	if run.Summary.PacketsSent == 0 {
 		t.Fatal("no packets")
 	}
@@ -49,6 +51,27 @@ func TestRunPairProducesAnalyzedTrace(t *testing.T) {
 	}
 	if pr.Wm != float64(pair.Wm) {
 		t.Errorf("Wm = %g, want %d", pr.Wm, pair.Wm)
+	}
+}
+
+// TestRunPairAnalyzesAtSenderThreshold: a void-* pair has a Linux
+// sender, which fast-retransmits after two duplicate ACKs, so RunPair
+// must infer its loss events at threshold 2, not Reno's 3.
+func TestRunPairAnalyzesAtSenderThreshold(t *testing.T) {
+	pair, _ := hosts.PairByName("void-sutton")
+	if v := pair.SenderVariant(); v.Name != "linux" {
+		t.Fatalf("void-sutton sender runs %s, want linux", v.Name)
+	}
+	run := RunPair(pair, 300, 3, 100, nil)
+	if run.Result.DupThreshold != 2 {
+		t.Errorf("Result.DupThreshold = %d, want 2", run.Result.DupThreshold)
+	}
+	two := analysis.InferLossEvents(run.Result.Trace, 2)
+	if !reflect.DeepEqual(run.Events, two) {
+		t.Errorf("RunPair inferred %d loss events, InferLossEvents(trace, 2) %d", len(run.Events), len(two))
+	}
+	if three := analysis.InferLossEvents(run.Result.Trace, 3); reflect.DeepEqual(two, three) {
+		t.Error("thresholds 2 and 3 infer the same events: the check cannot tell them apart")
 	}
 }
 

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/netem"
+	"pftk/internal/obs"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
 	"pftk/internal/stats"
@@ -28,89 +28,60 @@ func LossModels(o Options) *Report {
 	r := &Report{ID: "lossmodels", Title: "Extension: model accuracy vs loss process"}
 	t := tablefmt.New("Loss process", "p", "TD frac", "err full", "err approx", "err TD-only")
 
-	type variant struct {
-		name  string
-		build func(eng *sim.Engine, rng *sim.RNG) reno.ConnConfig
-	}
+	// Every row draws its randomness from the same seed. The RED row
+	// wires its connection by hand because the RED wrapper changes the
+	// forward link's Send path.
 	const rtt = 0.2
-	variants := []variant{
-		{"bernoulli", func(eng *sim.Engine, rng *sim.RNG) reno.ConnConfig {
-			return reno.ConnConfig{
-				Sender: reno.SenderConfig{RWnd: 16, MinRTO: 1},
-				Path:   netem.SymmetricPath(rtt/2, netem.NewBernoulli(0.02, rng)),
-			}
-		}},
-		{"outage (1 RTT)", func(eng *sim.Engine, rng *sim.RNG) reno.ConnConfig {
-			return reno.ConnConfig{
-				Sender: reno.SenderConfig{RWnd: 16, MinRTO: 1},
-				Path:   netem.SymmetricPath(rtt/2, netem.NewTimedBurst(0.01, rtt, rng)),
-			}
-		}},
-		{"drop-tail queue", func(eng *sim.Engine, rng *sim.RNG) reno.ConnConfig {
-			cfg := reno.ConnConfig{Sender: reno.SenderConfig{RWnd: 32, MinRTO: 1}}
-			cfg.Path = netem.PathConfig{
+	variants := []struct {
+		name string
+		wm   int
+		conn connector
+	}{
+		{"bernoulli", 16, connect(reno.ConnConfig{
+			Sender: reno.SenderConfig{RWnd: 16, MinRTO: 1},
+			Path:   netem.SymmetricPath(rtt/2, netem.NewBernoulli(0.02, sim.NewRNG(0xBEEF))),
+		})},
+		{"outage (1 RTT)", 16, connect(reno.ConnConfig{
+			Sender: reno.SenderConfig{RWnd: 16, MinRTO: 1},
+			Path:   netem.SymmetricPath(rtt/2, netem.NewTimedBurst(0.01, rtt, sim.NewRNG(0xBEEF))),
+		})},
+		{"drop-tail queue", 32, connect(reno.ConnConfig{
+			Sender: reno.SenderConfig{RWnd: 32, MinRTO: 1},
+			Path: netem.PathConfig{
 				Forward: netem.LinkConfig{Rate: 60, QueueCap: 8, Delay: netem.ConstantDelay(rtt / 2)},
 				Reverse: netem.LinkConfig{Delay: netem.ConstantDelay(rtt / 2)},
-			}
-			return cfg
+			},
+		})},
+		{"RED queue", 32, func(eng *sim.Engine, _ *obs.Registry) *reno.Connection {
+			red := netem.NewREDLink(eng, netem.LinkConfig{Rate: 60, QueueCap: 8, Delay: netem.ConstantDelay(rtt / 2)}, sim.NewRNG(0xBEEF))
+			rev := netem.NewLink(eng, netem.LinkConfig{Delay: netem.ConstantDelay(rtt / 2)})
+			snd := reno.NewSender(eng, red, reno.SenderConfig{RWnd: 32, MinRTO: 1})
+			rcv := reno.NewReceiver(eng, rev, snd.OnAck, reno.ReceiverConfig{})
+			snd.SetDeliver(rcv.OnPacket)
+			return &reno.Connection{Eng: eng, Sender: snd, Receiver: rcv}
 		}},
 	}
 
 	for _, v := range variants {
-		var eng sim.Engine
-		cfg := v.build(&eng, sim.NewRNG(0xBEEF))
-		conn := reno.NewConnection(&eng, cfg)
-		res := conn.Run(o.HourTraceDuration)
-		events := analysis.InferLossEvents(res.Trace, 3)
-		sum := analysis.Summarize(res.Trace, events)
-		ivs := analysis.Intervals(res.Trace, events, o.IntervalWidth)
-		pr := core.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: float64(cfg.Sender.RWnd), B: 2}
+		run, _ := runTrace(v.conn, nil, o.HourTraceDuration, o.IntervalWidth, nil)
+		sum := run.Summary
+		pr := core.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: float64(v.wm), B: 2}
 		if pr.Validate() != nil {
-			pr = core.NewParams(rtt, 1, float64(cfg.Sender.RWnd))
+			pr = core.NewParams(rtt, 1, float64(v.wm))
 		}
 		tdFrac := 0.0
 		if sum.LossIndications > 0 {
 			tdFrac = float64(sum.TD) / float64(sum.LossIndications)
 		}
+		e, _ := intervalErrors(v.name, run.Intervals, pr)
 		t.AddRow(v.name,
 			fmt.Sprintf("%.4f", sum.P),
 			fmt.Sprintf("%.2f", tdFrac),
-			fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelFull, pr)),
-			fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelApprox, pr)),
-			fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelTDOnly, pr)),
+			fmt.Sprintf("%.3f", e.full),
+			fmt.Sprintf("%.3f", e.approx),
+			fmt.Sprintf("%.3f", e.tdon),
 		)
 	}
-
-	// RED on the same bottleneck as the drop-tail row, wired manually
-	// because the RED wrapper changes the Send path.
-	var eng sim.Engine
-	rng := sim.NewRNG(0xBEEF)
-	red := netem.NewREDLink(&eng, netem.LinkConfig{Rate: 60, QueueCap: 8, Delay: netem.ConstantDelay(rtt / 2)}, rng)
-	rev := netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(rtt / 2)})
-	snd := reno.NewSender(&eng, red, reno.SenderConfig{RWnd: 32, MinRTO: 1})
-	rcv := reno.NewReceiver(&eng, rev, snd.OnAck, reno.ReceiverConfig{})
-	snd.SetDeliver(rcv.OnPacket)
-	snd.Start()
-	eng.RunUntil(o.HourTraceDuration)
-	snd.Stop()
-	events := analysis.InferLossEvents(snd.Trace(), 3)
-	sum := analysis.Summarize(snd.Trace(), events)
-	ivs := analysis.Intervals(snd.Trace(), events, o.IntervalWidth)
-	pr := core.Params{RTT: sum.MeanRTT, T0: sum.MeanT0, Wm: 32, B: 2}
-	if pr.Validate() != nil {
-		pr = core.NewParams(rtt, 1, 32)
-	}
-	tdFrac := 0.0
-	if sum.LossIndications > 0 {
-		tdFrac = float64(sum.TD) / float64(sum.LossIndications)
-	}
-	t.AddRow("RED queue",
-		fmt.Sprintf("%.4f", sum.P),
-		fmt.Sprintf("%.2f", tdFrac),
-		fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelFull, pr)),
-		fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelApprox, pr)),
-		fmt.Sprintf("%.3f", analysis.ModelError(ivs, core.ModelTDOnly, pr)),
-	)
 
 	r.Tables = append(r.Tables, t)
 	r.note("the paper's simulation studies found the model 'quite well' behaved even under Bernoulli losses; the full model stays the most accurate under every process")

@@ -38,13 +38,21 @@ func modelCurves(f *tablefmt.Figure, pr core.Params, width float64, pmin, pmax f
 // (p, packets) point categorized by its deepest timeout backoff, overlaid
 // with the three model curves.
 func Fig7(o Options) *Report {
-	o = o.normalize()
+	return fig7From(runCampaign(o, hosts.Fig7Pairs()))
+}
+
+// fig7From builds Fig. 7 from a campaign that ran every Fig. 7 pair:
+// the six pairs are Table II pairs, so the Table II campaign serves.
+func fig7From(c *Campaign) *Report {
 	r := &Report{ID: "fig7", Title: "Fig. 7: 1-h traces, packets per interval vs loss frequency"}
 	for _, pair := range hosts.Fig7Pairs() {
-		run := RunPair(pair, o.HourTraceDuration, o.Salt, o.IntervalWidth)
-		r.Figures = append(r.Figures, fig7Panel(run, o.IntervalWidth))
+		run, ok := c.Run(pair.Name())
+		if !ok {
+			panic("experiments: campaign has no run for Fig. 7 pair " + pair.Name())
+		}
+		r.Figures = append(r.Figures, fig7Panel(run, c.Opts.IntervalWidth))
 	}
-	r.note("each point is one %.0f-s interval; point series are split by interval category (TD, T0, T1, ...)", o.IntervalWidth)
+	r.note("each point is one %.0f-s interval; point series are split by interval category (TD, T0, T1, ...)", c.Opts.IntervalWidth)
 	r.note("expected shape: measured points hug 'proposed (full)'; 'TD only' sits far above at high p and above the Wm ceiling at low p")
 	return r
 }
@@ -129,43 +137,35 @@ func fig8From(sc *ShortCampaign) *Report {
 	return r
 }
 
-// traceErrors computes the three per-model average errors for one 1-hour
-// run, per the Section III metric.
-func traceErrors(run PairRun) (full, approx, tdonly float64) {
-	pr := run.Params()
-	full = analysis.ModelError(run.Intervals, core.ModelFull, pr)
-	approx = analysis.ModelError(run.Intervals, core.ModelApprox, pr)
-	tdonly = analysis.ModelError(run.Intervals, core.ModelTDOnly, pr)
-	return
+// modelError is one row of a Fig. 9-style comparison: the Section III
+// average error of each model for one trace, pair or schedule.
+type modelError struct {
+	name               string
+	full, approx, tdon float64
 }
 
-// Fig9 reproduces the model-accuracy comparison for the 1-hour traces:
-// per-trace average error of TD-only, full and approximate models, with
-// traces ordered by increasing TD-only error as in the paper.
-func Fig9(o Options) *Report {
-	return fig9From(RunCampaign(o))
+// intervalErrors scores the three models over a trace's intervals, each
+// interval priced at its own observed p with the trace's parameters pr.
+// ok is false when the full or TD-only error is undefined.
+func intervalErrors(name string, ivs []analysis.Interval, pr core.Params) (e modelError, ok bool) {
+	e = modelError{
+		name:   name,
+		full:   analysis.ModelError(ivs, core.ModelFull, pr),
+		approx: analysis.ModelError(ivs, core.ModelApprox, pr),
+		tdon:   analysis.ModelError(ivs, core.ModelTDOnly, pr),
+	}
+	return e, !math.IsNaN(e.full) && !math.IsNaN(e.tdon)
 }
 
-func fig9From(c *Campaign) *Report {
-	r := &Report{ID: "fig9", Title: "Fig. 9: comparison of the models for 1-h traces"}
-	type row struct {
-		name               string
-		full, approx, tdon float64
-	}
-	var rows []row
-	for _, run := range c.Runs {
-		f, a, td := traceErrors(run)
-		if math.IsNaN(f) || math.IsNaN(td) {
-			continue
-		}
-		rows = append(rows, row{run.Pair.Name(), f, a, td})
-	}
+// addModelErrors sorts rows by increasing TD-only error and adds the
+// Fig. 9/10 comparison to r: a table whose first column is named label
+// and a figure titled title, with xlabel on its x axis. It returns the
+// number of rows on which the full model beats TD-only.
+func (r *Report) addModelErrors(rows []modelError, label, title, xlabel string) (better int) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].tdon < rows[j].tdon })
-
-	t := tablefmt.New("Trace", "TD only", "Proposed (full)", "Proposed (approx)")
-	fig := &tablefmt.Figure{Title: r.Title, XLabel: "trace (sorted by TD-only error)", YLabel: "average error"}
+	t := tablefmt.New(label, "TD only", "Proposed (full)", "Proposed (approx)")
+	fig := &tablefmt.Figure{Title: title, XLabel: xlabel, YLabel: "average error"}
 	var xs, fe, ae, te []float64
-	better := 0
 	for i, rw := range rows {
 		t.AddRow(rw.name, fmt.Sprintf("%.3f", rw.tdon), fmt.Sprintf("%.3f", rw.full), fmt.Sprintf("%.3f", rw.approx))
 		xs = append(xs, float64(i))
@@ -181,11 +181,42 @@ func fig9From(c *Campaign) *Report {
 	fig.Add("proposed (approx)", xs, ae)
 	r.Tables = append(r.Tables, t)
 	r.Figures = append(r.Figures, fig)
-	r.note("full model beats TD-only on %d of %d traces (paper: most cases)", better, len(rows))
-	if n := len(rows); n > 0 {
-		r.note("mean errors: TD-only %.3f, full %.3f, approx %.3f",
-			stats.Mean(te), stats.Mean(fe), stats.Mean(ae))
+	return better
+}
+
+// noteMeanErrors notes each model's mean error over rows, in their
+// current order, when there are any.
+func (r *Report) noteMeanErrors(rows []modelError) {
+	if len(rows) == 0 {
+		return
 	}
+	var fe, ae, te []float64
+	for _, rw := range rows {
+		fe = append(fe, rw.full)
+		ae = append(ae, rw.approx)
+		te = append(te, rw.tdon)
+	}
+	r.note("mean errors: TD-only %.3f, full %.3f, approx %.3f", stats.Mean(te), stats.Mean(fe), stats.Mean(ae))
+}
+
+// Fig9 reproduces the model-accuracy comparison for the 1-hour traces:
+// per-trace average error of TD-only, full and approximate models, with
+// traces ordered by increasing TD-only error as in the paper.
+func Fig9(o Options) *Report {
+	return fig9From(RunCampaign(o))
+}
+
+func fig9From(c *Campaign) *Report {
+	r := &Report{ID: "fig9", Title: "Fig. 9: comparison of the models for 1-h traces"}
+	var rows []modelError
+	for _, run := range c.Runs {
+		if e, ok := intervalErrors(run.Pair.Name(), run.Intervals, run.Params()); ok {
+			rows = append(rows, e)
+		}
+	}
+	better := r.addModelErrors(rows, "Trace", r.Title, "trace (sorted by TD-only error)")
+	r.note("full model beats TD-only on %d of %d traces (paper: most cases)", better, len(rows))
+	r.noteMeanErrors(rows)
 	return r
 }
 
@@ -197,13 +228,7 @@ func Fig10(o Options) *Report {
 
 func fig10From(sc *ShortCampaign) *Report {
 	r := &Report{ID: "fig10", Title: "Fig. 10: comparison of the models for 100-s traces"}
-	t := tablefmt.New("Pair", "TD only", "Proposed (full)", "Proposed (approx)")
-	fig := &tablefmt.Figure{Title: r.Title, XLabel: "pair index (sorted by TD-only error)", YLabel: "average error"}
-	type row struct {
-		name               string
-		full, approx, tdon float64
-	}
-	var rows []row
+	var rows []modelError
 	for i, pair := range sc.Pairs {
 		// Per the paper, each 100-s trace contributes one observation
 		// using its own measured RTT and T0.
@@ -222,31 +247,14 @@ func fig10From(sc *ShortCampaign) *Report {
 		if len(obs) == 0 {
 			continue
 		}
-		rows = append(rows, row{
+		rows = append(rows, modelError{
 			name:   pair.Name(),
 			full:   stats.AverageError(pf, obs),
 			approx: stats.AverageError(pa, obs),
 			tdon:   stats.AverageError(pt, obs),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].tdon < rows[j].tdon })
-	var xs, fe, ae, te []float64
-	better := 0
-	for i, rw := range rows {
-		t.AddRow(rw.name, fmt.Sprintf("%.3f", rw.tdon), fmt.Sprintf("%.3f", rw.full), fmt.Sprintf("%.3f", rw.approx))
-		xs = append(xs, float64(i))
-		fe = append(fe, rw.full)
-		ae = append(ae, rw.approx)
-		te = append(te, rw.tdon)
-		if rw.full < rw.tdon {
-			better++
-		}
-	}
-	fig.Add("TD only", xs, te)
-	fig.Add("proposed (full)", xs, fe)
-	fig.Add("proposed (approx)", xs, ae)
-	r.Tables = append(r.Tables, t)
-	r.Figures = append(r.Figures, fig)
+	better := r.addModelErrors(rows, "Pair", r.Title, "pair index (sorted by TD-only error)")
 	r.note("full model beats TD-only on %d of %d pairs", better, len(rows))
 	return r
 }
@@ -257,16 +265,13 @@ func Fig11(o Options) *Report {
 	o = o.normalize()
 	r := &Report{ID: "fig11", Title: "Fig. 11: manic to p5 (modem), where the models fail"}
 	pair, cfg := hosts.ModemPair()
-	res := reno.RunConnection(cfg, o.HourTraceDuration)
-	events := analysis.InferLossEvents(res.Trace, 3)
-	sum := analysis.Summarize(res.Trace, events)
-	ivs := analysis.Intervals(res.Trace, events, o.IntervalWidth)
-	run := PairRun{Pair: pair, Result: res, Events: events, Summary: sum, Intervals: ivs}
+	run, _ := runTrace(connect(cfg), nil, o.HourTraceDuration, o.IntervalWidth, nil)
+	run.Pair = pair
 	r.Figures = append(r.Figures, fig7Panel(run, o.IntervalWidth))
-	rho := analysis.RoundCorrelation(res.Trace)
+	rho := analysis.RoundCorrelation(run.Result.Trace)
 	r.note("RTT-window correlation = %.3f (paper reports up to 0.97 on modem paths; near 0 on wide-area paths)", rho)
-	pr := run.Params()
-	full := analysis.ModelError(ivs, core.ModelFull, pr)
+	sum := run.Summary
+	full := analysis.ModelError(run.Intervals, core.ModelFull, run.Params())
 	r.note("full-model average error = %.3f — large, as the independence assumption is violated", full)
 	t := tablefmt.New("Metric", "Value")
 	t.AddRow("measured RTT", fmt.Sprintf("%.3f s", sum.MeanRTT))

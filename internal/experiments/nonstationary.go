@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"pftk/internal/analysis"
 	"pftk/internal/core"
@@ -13,9 +11,7 @@ import (
 	"pftk/internal/reno"
 	"pftk/internal/scenario"
 	"pftk/internal/sim"
-	"pftk/internal/stats"
 	"pftk/internal/tablefmt"
-	"pftk/internal/workpool"
 )
 
 // NonstationaryCase couples a base path with a scenario schedule: the
@@ -135,7 +131,6 @@ func (nr NonstationaryRun) Params() core.Params {
 // its trace. It is a pure function of (cs, duration, salt, width), which
 // is what makes the campaign's output independent of the worker count.
 func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width float64, reg *obs.Registry) NonstationaryRun {
-	start := time.Now()
 	rng := sim.NewRNG(salt)
 	loss := netem.NewBernoulli(cs.LossRate, rng.Fork("loss"))
 	cfg := reno.ConnConfig{
@@ -143,31 +138,21 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 		Receiver: reno.ReceiverConfig{AckEvery: 2},
 		Path:     netem.SymmetricPath(cs.RTT/2, loss),
 	}
-	var eng sim.Engine
-	reno.Observe(&eng, &cfg, reg)
-	conn := reno.NewConnection(&eng, cfg)
-	runner := scenario.Bind(&eng, conn.Path, scenario.Config{
+	scen := scenario.Config{
 		Scenario: cs.Scenario,
 		RNG:      rng.Fork("scenario"),
 		Base:     scenario.Base{RTT: cs.RTT, Loss: loss},
-		Horizon:  duration,
-		Registry: reg,
-	})
-	res := conn.Run(duration)
-	events := analysis.InferLossEvents(res.Trace, 3)
-	nr := NonstationaryRun{
-		Case:      cs,
-		Result:    res,
-		Summary:   analysis.Summarize(res.Trace, events),
-		Intervals: analysis.Intervals(res.Trace, events, width),
-		Phases:    runner.Finish(),
 	}
-	if reg != nil {
-		snap := reg.Snapshot()
-		nr.Obs = &snap
+	run, phases := runTrace(connect(cfg), &scen, duration, width, reg)
+	return NonstationaryRun{
+		Case:        cs,
+		Result:      run.Result,
+		Summary:     run.Summary,
+		Intervals:   run.Intervals,
+		Phases:      phases,
+		Obs:         run.Obs,
+		WallSeconds: run.WallSeconds,
 	}
-	nr.WallSeconds = time.Since(start).Seconds()
-	return nr
 }
 
 // NonstationaryCampaign holds one scheduled-path trace per bundled case.
@@ -191,36 +176,21 @@ const nonstationarySaltLane = 0x5ce
 func RunNonstationaryCampaign(o Options) *NonstationaryCampaign {
 	o = o.normalize()
 	cases := NonstationaryCases(o.HourTraceDuration)
-	c := &NonstationaryCampaign{Opts: o, Runs: make([]NonstationaryRun, len(cases))}
 	prog := obs.NewProgress(o.Progress, "nonstationary campaign", len(cases))
-	pool := workpool.New(o.Workers, len(cases))
-	for k := range cases {
-		pool.Submit(func() {
-			var reg *obs.Registry
-			if o.obsEnabled() {
-				reg = obs.New()
-			}
-			c.Runs[k] = runNonstationary(cases[k], o.HourTraceDuration, TraceSalt(o.Salt, nonstationarySaltLane, k), o.IntervalWidth, reg)
-			c.Runs[k].Result.Trace = nil // analyzed: the campaign keeps only the products
-			prog.Step(cases[k].Name)
-		})
-	}
-	pool.Close()
+	runs := runParallel(o, len(cases), prog,
+		func(k int, reg *obs.Registry) NonstationaryRun {
+			nr := runNonstationary(cases[k], o.HourTraceDuration, TraceSalt(o.Salt, nonstationarySaltLane, k), o.IntervalWidth, reg)
+			nr.Result.Trace = nil // analyzed: the campaign keeps only the products
+			return nr
+		},
+		func(k int) string { return cases[k].Name })
 	// Export in case order regardless of completion order, mirroring the
 	// other campaigns' reproducible-metrics convention.
-	for _, run := range c.Runs {
-		if o.Metrics != nil && run.Obs != nil {
-			_ = o.Metrics.Write(obs.RunRecord{
-				Experiment:  "nonstationary",
-				Pair:        run.Case.Name,
-				SimSeconds:  o.HourTraceDuration,
-				WallSeconds: run.WallSeconds,
-				Metrics:     *run.Obs,
-			})
-		}
+	for _, run := range runs {
+		o.record("nonstationary", run.Case.Name, 0, o.HourTraceDuration, run.WallSeconds, run.Obs)
 	}
 	prog.Done()
-	return c
+	return &NonstationaryCampaign{Opts: o, Runs: runs}
 }
 
 // Nonstationary regenerates the scheduled-path validation: per-interval
@@ -272,41 +242,13 @@ func nonstationaryFrom(c *NonstationaryCampaign) *Report {
 
 	// Fig. 9-style comparison: per-schedule average error of each model,
 	// sorted by increasing TD-only error.
-	type row struct {
-		name               string
-		full, approx, tdon float64
-	}
-	var rows []row
+	var rows []modelError
 	for _, run := range c.Runs {
-		pr := run.Params()
-		fe := analysis.ModelError(run.Intervals, core.ModelFull, pr)
-		ae := analysis.ModelError(run.Intervals, core.ModelApprox, pr)
-		te := analysis.ModelError(run.Intervals, core.ModelTDOnly, pr)
-		if math.IsNaN(fe) || math.IsNaN(te) {
-			continue
-		}
-		rows = append(rows, row{run.Case.Name, fe, ae, te})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].tdon < rows[j].tdon })
-	t := tablefmt.New("Schedule", "TD only", "Proposed (full)", "Proposed (approx)")
-	fig := &tablefmt.Figure{Title: "average error per schedule (sorted by TD-only error)", XLabel: "schedule", YLabel: "average error"}
-	var xs, fe, ae, te []float64
-	better := 0
-	for i, rw := range rows {
-		t.AddRow(rw.name, fmt.Sprintf("%.3f", rw.tdon), fmt.Sprintf("%.3f", rw.full), fmt.Sprintf("%.3f", rw.approx))
-		xs = append(xs, float64(i))
-		fe = append(fe, rw.full)
-		ae = append(ae, rw.approx)
-		te = append(te, rw.tdon)
-		if rw.full < rw.tdon {
-			better++
+		if e, ok := intervalErrors(run.Case.Name, run.Intervals, run.Params()); ok {
+			rows = append(rows, e)
 		}
 	}
-	fig.Add("TD only", xs, te)
-	fig.Add("proposed (full)", xs, fe)
-	fig.Add("proposed (approx)", xs, ae)
-	r.Tables = append(r.Tables, t)
-	r.Figures = append(r.Figures, fig)
+	better := r.addModelErrors(rows, "Schedule", "average error per schedule (sorted by TD-only error)", "schedule")
 
 	// The engine's ground-truth attribution: what each scheduled segment
 	// actually did to the packets offered during it.
@@ -332,9 +274,6 @@ func nonstationaryFrom(c *NonstationaryCampaign) *Report {
 
 	r.note("each interval is priced at its own observed p; trace-average RTT/T0 are the only stationary inputs")
 	r.note("full model beats TD-only on %d of %d schedules", better, len(rows))
-	if len(te) > 0 {
-		r.note("mean errors: TD-only %.3f, full %.3f, approx %.3f",
-			stats.Mean(te), stats.Mean(fe), stats.Mean(ae))
-	}
+	r.noteMeanErrors(rows)
 	return r
 }

@@ -17,7 +17,7 @@ func TestRunPairObservedReconciles(t *testing.T) {
 	// void-sutton exercises both TD and timeout indications heavily.
 	p := hosts.TableII()[13]
 	reg := obs.New()
-	run := RunPairObserved(p, 400, 3, 100, reg)
+	run := RunPair(p, 400, 3, 100, reg)
 	if run.Obs == nil {
 		t.Fatal("observed run has no snapshot")
 	}
@@ -49,15 +49,15 @@ func TestRunPairObservedReconciles(t *testing.T) {
 	}
 }
 
-// TestRunPairObsDisabled confirms the plain entry point collects nothing
+// TestRunPairObsDisabled confirms a run with a nil registry collects nothing
 // and that instrumentation does not perturb the simulation.
 func TestRunPairObsDisabled(t *testing.T) {
 	p := hosts.TableII()[0]
-	plain := RunPair(p, 120, 5, 100)
+	plain := RunPair(p, 120, 5, 100, nil)
 	if plain.Obs != nil {
 		t.Error("un-observed run carries a snapshot")
 	}
-	observed := RunPairObserved(p, 120, 5, 100, obs.New())
+	observed := RunPair(p, 120, 5, 100, obs.New())
 	if plain.Result.Stats != observed.Result.Stats {
 		t.Errorf("observability perturbed the run:\nplain=%+v\n  obs=%+v",
 			plain.Result.Stats, observed.Result.Stats)

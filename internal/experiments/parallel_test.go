@@ -76,9 +76,9 @@ func TestRunParallelTracesMatchSerial(t *testing.T) {
 	pairs := hosts.TableII()
 	run := func(workers int) []PairRun {
 		o := Options{Workers: workers}
-		return o.runParallel(len(pairs), nil,
+		return runParallel(o, len(pairs), nil,
 			func(k int, reg *obs.Registry) PairRun {
-				return runPair(pairs[k], 120, 7, 60, reg)
+				return RunPair(pairs[k], 120, 7, 60, reg)
 			},
 			func(k int) string { return pairs[k].Name() })
 	}
@@ -172,7 +172,7 @@ func stripJSONLWallClock(t *testing.T, jsonl []byte) string {
 // the rest. The overlap must be invisible in everything but wall time:
 // rendered reports and metrics JSONL (minus wall_seconds) byte-identical
 // at 1, 2 and 4 workers, and onDone called once per artifact in
-// registry order. Run under -race it also checks the overlap shares no
+// artifact-list order. Run under -race it also checks the overlap shares no
 // state.
 func TestRunAllTimedOverlapMatchesSerial(t *testing.T) {
 	wantOrder := []string{"table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",

@@ -10,32 +10,38 @@ import (
 // Runner regenerates one paper artifact.
 type Runner func(Options) *Report
 
-// registry maps experiment IDs to runners.
-var registry = map[string]Runner{
-	"table1":        Table1,
-	"table2":        Table2,
-	"fig7":          Fig7,
-	"fig8":          Fig8,
-	"fig9":          Fig9,
-	"fig10":         Fig10,
-	"fig11":         Fig11,
-	"fig12":         Fig12,
-	"fig13":         Fig13,
-	"correlation":   Correlation,
-	"lossmodels":    LossModels,
-	"shortflows":    ShortFlows,
-	"fairness":      Fairness,
-	"multiflow":     Multiflow,
-	"regimes":       Regimes,
-	"evolution":     Evolution,
-	"nonstationary": Nonstationary,
+// artifacts lists every experiment in regeneration order. fromCampaigns,
+// when set, builds the artifact from the shared 1-hour and 100-second
+// campaigns, which RunAllTimed runs once for all their readers.
+var artifacts = []struct {
+	id            string
+	run           Runner
+	fromCampaigns func(long *Campaign, short *ShortCampaign) *Report
+}{
+	{"table1", Table1, nil},
+	{"table2", Table2, func(long *Campaign, _ *ShortCampaign) *Report { return table2From(long) }},
+	{"fig7", Fig7, func(long *Campaign, _ *ShortCampaign) *Report { return fig7From(long) }},
+	{"fig8", Fig8, func(_ *Campaign, short *ShortCampaign) *Report { return fig8From(short) }},
+	{"fig9", Fig9, func(long *Campaign, _ *ShortCampaign) *Report { return fig9From(long) }},
+	{"fig10", Fig10, func(_ *Campaign, short *ShortCampaign) *Report { return fig10From(short) }},
+	{"fig11", Fig11, nil},
+	{"fig12", Fig12, nil},
+	{"fig13", Fig13, nil},
+	{"correlation", Correlation, nil},
+	{"lossmodels", LossModels, nil},
+	{"shortflows", ShortFlows, nil},
+	{"fairness", Fairness, nil},
+	{"multiflow", Multiflow, nil},
+	{"regimes", Regimes, nil},
+	{"evolution", Evolution, nil},
+	{"nonstationary", Nonstationary, nil},
 }
 
 // IDs returns the registered experiment identifiers, sorted.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+	out := make([]string, 0, len(artifacts))
+	for _, a := range artifacts {
+		out = append(out, a.id)
 	}
 	sort.Strings(out)
 	return out
@@ -44,19 +50,21 @@ func IDs() []string {
 // Get returns the runner for an experiment ID. The error for an unknown
 // ID lists every valid one, so a CLI typo is self-correcting.
 func Get(id string) (Runner, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q; valid ids: %s",
-			id, strings.Join(IDs(), ", "))
+	for _, a := range artifacts {
+		if a.id == id {
+			return a.run, nil
+		}
 	}
-	return r, nil
+	return nil, fmt.Errorf("experiments: unknown experiment %q; valid ids: %s",
+		id, strings.Join(IDs(), ", "))
 }
 
 // RunAllTimed regenerates every artifact. The 1-hour and 100-second
 // campaigns are executed once and shared between the experiments that
-// consume them (Table II + Fig. 9, and Fig. 8 + Fig. 10). onDone (when
-// non-nil) receives each finished report and its wall-clock cost, in
-// registry order; the campaign tools use it to stamp run manifests.
+// consume them (Table II + Figs. 7 and 9, and Fig. 8 + Fig. 10), so
+// every trace is simulated once. onDone (when non-nil) receives each
+// finished report and its wall-clock cost, in the order of the artifact
+// list; the campaign tools use it to stamp run manifests.
 //
 // With Workers >= 2 the N-flow scaling run, the longest single
 // artifact, starts first on a worker of its own (Multiflow with
@@ -91,43 +99,25 @@ func RunAllTimed(o Options, onDone func(r *Report, wallSeconds float64)) []*Repo
 	long := RunCampaign(o)
 	short := RunShortCampaign(o)
 	campaignCost := time.Since(start).Seconds()
-	steps := []struct {
-		id  string
-		run func() *Report
-	}{
-		{"table1", func() *Report { return Table1(o) }},
-		{"table2", func() *Report { return table2From(long) }},
-		{"fig7", func() *Report { return Fig7(o) }},
-		{"fig8", func() *Report { return fig8From(short) }},
-		{"fig9", func() *Report { return fig9From(long) }},
-		{"fig10", func() *Report { return fig10From(short) }},
-		{"fig11", func() *Report { return Fig11(o) }},
-		{"fig12", func() *Report { return Fig12(o) }},
-		{"fig13", func() *Report { return Fig13(o) }},
-		{"correlation", func() *Report { return Correlation(o) }},
-		{"lossmodels", func() *Report { return LossModels(o) }},
-		{"shortflows", func() *Report { return ShortFlows(o) }},
-		{"fairness", func() *Report { return Fairness(o) }},
-		{"multiflow", func() *Report { return Multiflow(o) }},
-		{"regimes", func() *Report { return Regimes(o) }},
-		{"evolution", func() *Report { return Evolution(o) }},
-		{"nonstationary", func() *Report { return Nonstationary(o) }},
-	}
-	out := make([]*Report, 0, len(steps))
-	for _, s := range steps {
+	out := make([]*Report, 0, len(artifacts))
+	for _, a := range artifacts {
 		var r *Report
 		var wall float64
-		if s.id == "multiflow" && mf.done != nil {
+		if a.id == "multiflow" && mf.done != nil {
 			<-mf.done
 			r, wall = mf.r, mf.wall
 		} else {
 			t0 := time.Now()
-			r = s.run()
+			if a.fromCampaigns != nil {
+				r = a.fromCampaigns(long, short)
+			} else {
+				r = a.run(o)
+			}
 			wall = time.Since(t0).Seconds()
 		}
 		// The shared campaigns' cost is attributed to the first artifact
 		// consuming them (Table II) rather than hidden.
-		if s.id == "table2" {
+		if a.id == "table2" {
 			wall += campaignCost
 		}
 		out = append(out, r)

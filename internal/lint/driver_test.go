@@ -100,11 +100,14 @@ func TestDriverParallelMatchesSerial(t *testing.T) {
 	// Run the suite over this repository itself twice — serial and with
 	// an oversubscribed pool — and require byte-identical reports.
 	// Package-parallel analysis must not perturb ordering or content.
-	serial, err := newDriver(t, "../..", 1).Run(nil)
+	// Both runs analyze the shared loader's packages, so the module is
+	// type-checked once.
+	loader := selfLoader(t)
+	serial, err := (&Driver{Loader: loader, Workers: 1}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := newDriver(t, "../..", 8).Run(nil)
+	parallel, err := (&Driver{Loader: loader, Workers: 8}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -426,22 +426,17 @@ func (m *Engine) Complete() bool {
 }
 
 // Stop halts flow i and returns its TCP measurements at the engine's
-// current time: trace, sender counters and delivered count (zero-valued
-// for a TFRC flow, which has no sender-side trace). Callers that need
-// only these skip the per-flow analysis Finish does.
+// current time: trace, sender counters, delivered count and dup-ACK
+// threshold (zero-valued for a TFRC flow, which has no sender-side
+// trace). Callers that need only these skip the per-flow analysis
+// Finish does.
 func (m *Engine) Stop(i int) reno.Result {
 	f := &m.flows[i]
 	if f.tfrc != nil {
 		f.tfrc.Stop()
 		return reno.Result{}
 	}
-	f.conn.Sender.Stop()
-	return reno.Result{
-		Duration:  m.eng.Now(),
-		Trace:     f.conn.Sender.Trace(),
-		Stats:     f.conn.Sender.Stats(),
-		Delivered: f.conn.Receiver.Delivered(),
-	}
+	return f.conn.Stop(m.eng.Now())
 }
 
 // Finish stops every flow and assembles the result at the engine's

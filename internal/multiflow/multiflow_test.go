@@ -236,3 +236,25 @@ func maxOf(v []float64) float64 {
 	}
 	return m
 }
+
+// TestFinishDupThreshold: each flow's Result carries its own sender's
+// fast-retransmit threshold, on a shared bottleneck and on private
+// paths; a TFRC flow, which has no TCP sender, reports 0.
+func TestFinishDupThreshold(t *testing.T) {
+	flows := []FlowSpec{
+		{Variant: "reno", RTT: 0.08, Wm: 16},
+		{Variant: "linux", RTT: 0.08, Wm: 16},
+		{Variant: "irix", RTT: 0.08, Wm: 16},
+		{Variant: "tfrc", RTT: 0.08},
+	}
+	want := []int{3, 2, 3, 0}
+	for _, bn := range []Bottleneck{{Rate: 90, QueueCap: 20, OneWay: 0.04}, {}} {
+		res := Run(Config{Flows: flows, Bottleneck: bn, Duration: 10, Seed: 3})
+		for i, fr := range res.Flows {
+			if fr.Result.DupThreshold != want[i] {
+				t.Errorf("bottleneck %+v, flow %d (%s): DupThreshold = %d, want %d",
+					bn, i, fr.Variant, fr.Result.DupThreshold, want[i])
+			}
+		}
+	}
+}

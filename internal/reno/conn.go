@@ -47,6 +47,11 @@ type Result struct {
 	// Delivered is the count of distinct in-order packets at the
 	// receiver.
 	Delivered uint64
+	// DupThreshold is the fast-retransmit duplicate-ACK threshold of
+	// the sender that ran (2 for linux, 3 for the other variants): the
+	// threshold at which its trace must be analyzed. It is 0 for a
+	// flow with no TCP sender (TFRC).
+	DupThreshold int
 }
 
 // SendRate returns packets transmitted (originals + retransmissions) per
@@ -91,12 +96,19 @@ func (c *Connection) Run(duration float64) Result {
 	start := c.Eng.Now()
 	c.Sender.Start()
 	c.Eng.RunUntil(start + duration)
+	return c.Stop(duration)
+}
+
+// Stop halts the sender and returns the results of a run that lasted
+// duration seconds.
+func (c *Connection) Stop(duration float64) Result {
 	c.Sender.Stop()
 	return Result{
-		Duration:  duration,
-		Trace:     c.Sender.Trace(),
-		Stats:     c.Sender.Stats(),
-		Delivered: c.Receiver.Delivered(),
+		Duration:     duration,
+		Trace:        c.Sender.Trace(),
+		Stats:        c.Sender.Stats(),
+		Delivered:    c.Receiver.Delivered(),
+		DupThreshold: c.Sender.cfg.Variant.DupThreshold,
 	}
 }
 
@@ -125,11 +137,5 @@ func (c *Connection) RunUntilComplete(deadline float64) (Result, float64) {
 			break
 		}
 	}
-	c.Sender.Stop()
-	return Result{
-		Duration:  c.Eng.Now(),
-		Trace:     c.Sender.Trace(),
-		Stats:     c.Sender.Stats(),
-		Delivered: c.Receiver.Delivered(),
-	}, done
+	return c.Stop(c.Eng.Now()), done
 }

@@ -496,3 +496,31 @@ func TestRunConnectionConvenience(t *testing.T) {
 		t.Errorf("convenience run produced nothing: %v", res)
 	}
 }
+
+// TestResultDupThreshold: a Result carries the fast-retransmit
+// threshold of the sender that ran, from both run loops, so its trace
+// can be analyzed at the stack's own threshold. The zero Variant runs
+// Reno and reports Reno's threshold.
+func TestResultDupThreshold(t *testing.T) {
+	for _, c := range []struct {
+		v    Variant
+		want int
+	}{
+		{Variant{}, 3},
+		{Reno, 3},
+		{Tahoe, 3},
+		{Linux, 2},
+		{Irix, 3},
+		{NewReno, 3},
+	} {
+		_, conn := testConn(t, netem.NewBernoulli(0.02, sim.NewRNG(1)), SenderConfig{Variant: c.v, RWnd: 8}, ReceiverConfig{})
+		if got := conn.Run(5).DupThreshold; got != c.want {
+			t.Errorf("%q Run: DupThreshold = %d, want %d", c.v.Name, got, c.want)
+		}
+		_, conn = testConn(t, nil, SenderConfig{Variant: c.v, RWnd: 8, TotalPackets: 20}, ReceiverConfig{})
+		res, _ := conn.RunUntilComplete(60)
+		if res.DupThreshold != c.want {
+			t.Errorf("%q RunUntilComplete: DupThreshold = %d, want %d", c.v.Name, res.DupThreshold, c.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"pftk/internal/core"
 	"pftk/internal/netem"
+	"pftk/internal/pkt"
 	"pftk/internal/sim"
 )
 
@@ -147,6 +148,18 @@ func TestThroughputTracksModelT(t *testing.T) {
 	}
 }
 
+// hopChain chains links into one forward direction: a packet leaves hop
+// i into hop i+1, collecting each hop's serialization, delay and loss.
+type hopChain []*netem.Link
+
+func (c hopChain) Send(p pkt.Packet, deliver func(pkt.Packet)) {
+	if len(c) == 1 {
+		c[0].Send(p, deliver)
+		return
+	}
+	c[0].Send(p, func(p pkt.Packet) { c[1:].Send(p, deliver) })
+}
+
 // TestMultiHopPathStillMatchesModel runs the sender over a three-hop path
 // (loss concentrated at the middle hop, delay spread across all three):
 // the model only sees (p, RTT, T0, Wm), so its fit must survive the
@@ -157,11 +170,11 @@ func TestMultiHopPathStillMatchesModel(t *testing.T) {
 	}
 	var eng sim.Engine
 	rng := sim.NewRNG(41)
-	fwd := netem.NewMultiHop(&eng,
-		netem.LinkConfig{Delay: netem.ConstantDelay(0.02)},
-		netem.LinkConfig{Delay: netem.ConstantDelay(0.03), Loss: netem.NewBernoulli(0.02, rng)},
-		netem.LinkConfig{Delay: netem.ConstantDelay(0.01)},
-	)
+	fwd := hopChain{
+		netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.02)}),
+		netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.03), Loss: netem.NewBernoulli(0.02, rng)}),
+		netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.01)}),
+	}
 	rev := netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.05)})
 	snd := NewSender(&eng, fwd, SenderConfig{RWnd: 64, MinRTO: 1})
 	rcv := NewReceiver(&eng, rev, snd.OnAck, ReceiverConfig{})
@@ -179,7 +192,7 @@ func TestMultiHopPathStillMatchesModel(t *testing.T) {
 	if ratio := rate / pred; ratio < 0.5 || ratio > 2 {
 		t.Errorf("multi-hop measured %.1f vs model %.1f (ratio %.2f)", rate, pred, ratio)
 	}
-	if fwd.Stats().RandomDrops == 0 {
+	if fwd[1].Stats().RandomDrops == 0 {
 		t.Error("middle hop never dropped")
 	}
 }

@@ -152,10 +152,6 @@ type SimResult struct {
 	// TransferComplete reports whether the finite transfer finished
 	// before its deadline.
 	TransferComplete bool
-	// DupThreshold is the fast-retransmit duplicate-ACK threshold of
-	// the sender that produced Trace (flow 0's in multi-flow runs): 2
-	// for linux, 3 for the other TCP variants, 0 for TFRC.
-	DupThreshold int
 }
 
 // Analyze runs Analyze over the result's trace at the fast-retransmit
@@ -163,20 +159,6 @@ type SimResult struct {
 // match the simulated stack. opts are applied after that threshold.
 func (r SimResult) Analyze(opts ...AnalyzeOption) Summary {
 	return Analyze(r.Trace, append([]AnalyzeOption{WithDupThreshold(r.DupThreshold)}, opts...)...)
-}
-
-// dupThreshold returns the fast-retransmit threshold of the named
-// sender variant, or 0 for TFRC, which has no sender trace. An unknown
-// name runs Reno, so it gets Reno's threshold.
-func dupThreshold(variant string) int {
-	if variant == "tfrc" {
-		return 0
-	}
-	v, err := reno.ParseVariant(variant)
-	if err != nil {
-		v = reno.Reno
-	}
-	return v.DupThreshold
 }
 
 // Flow specifies one sender in a multi-flow simulation: its congestion
@@ -289,10 +271,9 @@ func run(c simConfig) SimResult {
 		m.Start()
 		eng.RunUntil(m.Duration())
 		mres := m.Finish()
-		out := SimResult{Result: mres.Flows[0].Result, FlowResults: mres.Flows, Fairness: mres.Fairness,
-			DupThreshold: dupThreshold(mres.Flows[0].Variant)}
+		out := SimResult{Result: mres.Flows[0].Result, FlowResults: mres.Flows, Fairness: mres.Fairness}
 		for _, fr := range mres.Flows {
-			out.Flows = append(out.Flows, Analyze(fr.Result.Trace, WithDupThreshold(dupThreshold(fr.Variant))))
+			out.Flows = append(out.Flows, Analyze(fr.Result.Trace, WithDupThreshold(fr.Result.DupThreshold)))
 		}
 		return out
 	}
@@ -319,7 +300,7 @@ func run(c simConfig) SimResult {
 		runner = m.BindScenario(0, c.scenario, horizon)
 	}
 	m.Start()
-	out := SimResult{DupThreshold: dupThreshold(spec.Variant)}
+	var out SimResult
 	if finite {
 		out.TransferTime = horizon
 		for eng.Now() < horizon && eng.Step() {
